@@ -5,17 +5,20 @@
 // checkout and combines both into BENCH_hotpath.json, so this file must only
 // use APIs that exist in both trees (run_request, EventQueue, SimStats,
 // UvmDriver, Tlb); anything newer is feature-gated (UVMSIM_EVENTQ_HAS_WHEEL
-// for the warp-stepper ring, __has_include for the eviction index).
+// for the warp-stepper ring, UVMSIM_TLB_HAS_EPOCH for the epoch-tagged TLB
+// lookup, __has_include for the eviction index).
 //
 //   perf_hotpath [--smoke] [--label NAME]
 //
 // All runs are fully seeded; the numbers below are deterministic up to
 // wall-clock noise.
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -69,6 +72,7 @@ SimConfig eviction_heavy_cfg() {
 struct SimRow {
   std::string workload;
   double oversub = 0.0;
+  std::uint64_t capacity_bytes = 0;
   double wall_ms = 0.0;
   std::uint64_t far_faults = 0;
   std::uint64_t evictions = 0;
@@ -88,6 +92,7 @@ SimRow bench_sim(const std::string& workload, double oversub, double scale) {
   SimRow row;
   row.workload = workload;
   row.oversub = oversub;
+  row.capacity_bytes = res.capacity_bytes;
   row.wall_ms = ms_since(t0);
   row.far_faults = res.stats.far_faults;
   row.evictions = res.stats.evictions;
@@ -313,7 +318,11 @@ StormRow bench_tlb_storm(std::uint64_t lookups) {
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < lookups; ++i) {
     p = (i & 7) != 0 ? p + 1 : rng.below(1u << 20);  // 7 sequential : 1 jump
+#ifdef UVMSIM_TLB_HAS_EPOCH
+    if (tlb.access(p, 0)) ++hits;
+#else
     if (tlb.access(p)) ++hits;
+#endif
   }
   row.wall_ms = ms_since(t0);
   row.ops = lookups;
@@ -336,7 +345,9 @@ struct TraceRow {
 /// reader's bounded decoded footprint (peak_decoded_bytes ≪ file size for a
 /// chunked trace — the RSS guarantee for million-access captures).
 TraceRow bench_trace_roundtrip(double scale) {
-  const std::string path = "perf_hotpath_trace.trb";
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("perf_hotpath_trace." + std::to_string(getpid()) + ".trb"))
+                               .string();
   TraceRow row;
   RunRequest req;
   req.workload = "ra";
@@ -419,11 +430,25 @@ int main(int argc, char** argv) {
   const std::uint64_t storm_accesses = smoke ? 200000 : 2000000;
   const std::uint64_t tlb_lookups = smoke ? 1000000 : 10000000;
 
+  // End-to-end lanes, each at its own device capacity: at scale 0.3 bfs
+  // derives the same 4 MB device at 125 % and 150 %, so its second lane
+  // runs at 200 % (2 MB).
+  struct SimLane {
+    const char* workload;
+    double oversub;
+  };
+  const SimLane sim_lanes[] = {{"bfs", 1.25}, {"bfs", 2.0}, {"sssp", 1.25}, {"sssp", 1.5}};
+  // Generate the lanes' graphs and wavefronts before any timing starts, so
+  // no lane's wall includes cold input generation.
+  WorkloadParams warm;
+  warm.scale = scale;
+  for (const SimLane& lane : sim_lanes) {
+    AddressSpace space;
+    make_workload(lane.workload, warm)->build(space);
+  }
   std::vector<SimRow> rows;
-  for (const char* wl : {"bfs", "sssp"}) {
-    for (const double oversub : {1.25, 1.5}) {
-      rows.push_back(bench_sim(wl, oversub, scale));
-    }
+  for (const SimLane& lane : sim_lanes) {
+    rows.push_back(bench_sim(lane.workload, lane.oversub, scale));
   }
   const EvictRow evict = bench_eviction_selection(evict_iters);
   const ChurnRow churn = bench_event_churn(churn_events);
@@ -476,10 +501,11 @@ int main(int argc, char** argv) {
   std::printf("  \"sim_runs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SimRow& r = rows[i];
-    std::printf("    {\"workload\": \"%s\", \"oversub\": %.2f, \"wall_ms\": %.2f, "
-                "\"far_faults\": %llu, \"evictions\": %llu, \"accesses\": %llu, "
-                "\"total_cycles\": %llu}%s\n",
-                r.workload.c_str(), r.oversub, r.wall_ms,
+    std::printf("    {\"workload\": \"%s\", \"oversub\": %.2f, \"capacity_bytes\": %llu, "
+                "\"wall_ms\": %.2f, \"far_faults\": %llu, \"evictions\": %llu, "
+                "\"accesses\": %llu, \"total_cycles\": %llu}%s\n",
+                r.workload.c_str(), r.oversub,
+                static_cast<unsigned long long>(r.capacity_bytes), r.wall_ms,
                 static_cast<unsigned long long>(r.far_faults),
                 static_cast<unsigned long long>(r.evictions),
                 static_cast<unsigned long long>(r.accesses),

@@ -80,6 +80,19 @@ print(f"bench smoke: schema ok, attribution covers "
       f"{total_share:.0%} of sim_wall")
 PY
 
+# Benchmark smoke (uvmbench/README.md): one small pass of every BENCHMARK.json
+# workload, untraced and traced, with the benchmark's own output checks —
+# traced and untraced SimStats equal, the Fig 6 ratios, the capture's replay
+# equal to the recorded run, zero fuzz divergences. It must end with the
+# runner's {"smoke": "ok"} line.
+echo "==> benchmark smoke (uvmbench/run_benchmark.py --smoke)"
+python3 uvmbench/run_benchmark.py --smoke | tee /tmp/uvmsim_benchmark_smoke.log
+tail -n 1 /tmp/uvmsim_benchmark_smoke.log | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+assert doc.get("smoke") == "ok", f"benchmark smoke did not finish ok: {doc}"
+print("benchmark smoke: ok")'
+
 # Observability smoke: an audited oversubscribed run with the Chrome trace
 # writer and the registry-complete metrics recorder attached must produce a
 # parseable trace (monotone timestamps, every event family present) and a

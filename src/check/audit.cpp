@@ -76,10 +76,15 @@ void InvariantAuditor::check_residency(const AuditScope& s, AuditReport& r) cons
   const DeviceMemory& device = *s.device;
 
   std::vector<std::uint32_t> per_chunk(table.num_chunks(), 0);
+  std::vector<std::uint32_t> occupancy(table.num_chunks(), 0);
   std::uint64_t resident = 0;
   std::uint64_t in_flight = 0;
   for (BlockNum b = 0; b < table.num_blocks(); ++b) {
     const BlockState& st = table.block(b);
+    if (st.residence != Residence::kHost) {
+      const ChunkNum c = chunk_of_block(b);
+      occupancy[c] |= 1u << (b - first_block_of_chunk(c));
+    }
     switch (st.residence) {
       case Residence::kDevice:
         ++resident;
@@ -110,6 +115,12 @@ void InvariantAuditor::check_residency(const AuditScope& s, AuditReport& r) cons
       std::ostringstream os;
       os << "residency: chunk " << c << " aggregate resident_blocks="
          << cr.resident_blocks << " but block scan counts " << per_chunk[c];
+      return text(os);
+    });
+    expect(r, table.chunk_occupancy(c) == occupancy[c], [&] {
+      std::ostringstream os;
+      os << "residency: chunk " << c << " occupancy mask 0x" << std::hex
+         << table.chunk_occupancy(c) << " but block scan gives 0x" << occupancy[c];
       return text(os);
     });
     const std::uint32_t mapped = table.space().chunk_num_blocks(c);

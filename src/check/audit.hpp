@@ -4,8 +4,9 @@
 // memory, access counters, eviction machinery, transfer engine and event
 // queue:
 //
-//   * residency conservation — per-chunk resident counts match a per-block
-//     scan; device used == resident + in-flight; resident + free == capacity
+//   * residency conservation — per-chunk resident counts and occupancy masks
+//     match a per-block scan; device used == resident + in-flight;
+//     resident + free == capacity
 //   * mapping granularity — a coalesced 2 MB chunk is fully resident and was
 //     never written; the O(1) coalesced-chunk counter matches a scan; the
 //     coalesce/splinter counters obey the conservation law

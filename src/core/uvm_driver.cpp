@@ -39,6 +39,7 @@ UvmDriver::UvmDriver(const SimConfig& cfg, const AddressSpace& space,
   }
   // Per-block placement-hint table (cudaMemAdvise model).
   block_advice_.assign(space.total_blocks(), MemAdvice::kNone);
+  waiters_.assign(space.total_blocks(), WaiterList{});
   for (const Allocation& a : space.allocations()) {
     if (a.advice == MemAdvice::kNone) continue;
     for (BlockNum b = block_of(a.base); b < block_of(a.base) + a.padded_size / kBasicBlockSize;
@@ -172,7 +173,7 @@ AccessOutcome UvmDriver::access_impl(WarpId w, VirtAddr addr, AccessType type,
     }
     case Residence::kInFlight: {
       // The block is already on its way; join the waiters.
-      waiters_[b].push_back(w);
+      add_waiter(b, w);
       return AccessOutcome{true, 0};
     }
     case Residence::kHost:
@@ -266,11 +267,31 @@ AccessOutcome UvmDriver::access_impl(WarpId w, VirtAddr addr, AccessType type,
 }
 
 void UvmDriver::raise_fault(BlockNum b, WarpId w, bool with_prefetch) {
-  waiters_[b].push_back(w);
+  add_waiter(b, w);
   table_.mark_in_flight(b);
   ++queued_fault_blocks_;
   pending_.push_back(PendingFault{b, with_prefetch});
   maybe_start_engine();
+}
+
+void UvmDriver::add_waiter(BlockNum b, WarpId w) {
+  std::uint32_t n = free_waiters_;
+  if (n != kNoWaiter) {
+    free_waiters_ = waiter_nodes_[n].next;
+    waiter_nodes_[n] = WaiterNode{w, kNoWaiter};
+  } else {
+    UVM_CHECK(waiter_nodes_.size() < kNoWaiter,
+              "UvmDriver: waiter pool exhausted adding warp " << w << " to block " << b);
+    n = static_cast<std::uint32_t>(waiter_nodes_.size());
+    waiter_nodes_.push_back(WaiterNode{w, kNoWaiter});
+  }
+  WaiterList& list = waiters_[b];
+  if (list.head == kNoWaiter) {
+    list.head = n;
+  } else {
+    waiter_nodes_[list.tail].next = n;
+  }
+  list.tail = n;
 }
 
 void UvmDriver::maybe_start_engine() {
@@ -360,8 +381,8 @@ bool UvmDriver::evict_for(ChunkNum faulting_chunk, Cycle now, Cycle& writeback_r
       const Cycle host_done = host_mem_->acquire(now, kBasicBlockSize);
       writeback_ready = std::max({writeback_ready, done, host_done});
     }
-    if (tlb_invalidate_) tlb_invalidate_(v);
   }
+  if (eviction_hook_ != nullptr) eviction_hook_(eviction_hook_ctx_, victims);
   // Coalesced per-victim bookkeeping: one device-memory release and one
   // stats update for the whole victim set (observationally identical — the
   // auditor only samples at event boundaries).
@@ -521,16 +542,20 @@ void UvmDriver::on_block_arrival_impl(BlockNum b) {
                 << " arrived with no transfer in flight at cycle " << now);
   --in_flight_;
 
-  const auto it = waiters_.find(b);
-  if (it != waiters_.end()) {
-    // The faulted access replays and completes with a local DRAM access.
+  const WaiterList list = waiters_[b];
+  if (list.head != kNoWaiter) {
+    // The faulted access replays and completes with a local DRAM access;
+    // every waiter wakes at that one ready cycle, in join order.
+    waiters_[b] = WaiterList{};
     const Cycle drained = dram_.acquire(now, kWarpAccessBytes);
     const Cycle ready = drained + cfg_.gpu.dram_latency;
-    for (WarpId w : it->second) {
+    for (std::uint32_t n = list.head; n != kNoWaiter; n = waiter_nodes_[n].next) {
       ++stats_.replayed_accesses;
-      if (waker_) waker_(w, ready);
+      if (waker_ != nullptr) waker_(waker_ctx_, waiter_nodes_[n].warp, ready);
     }
-    waiters_.erase(it);
+    // Recycle the whole FIFO onto the free list in one splice.
+    waiter_nodes_[list.tail].next = free_waiters_;
+    free_waiters_ = list.head;
   }
   maybe_start_engine();
   if constexpr (kAudit) audit_->on_event(audit_scope(), stats_);

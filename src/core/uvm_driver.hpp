@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -51,10 +51,15 @@ struct AccessOutcome {
 
 class UvmDriver {
  public:
-  /// `waker(warp, ready)` is invoked when a stalled warp's access completes.
-  using WarpWaker = std::function<void(WarpId, Cycle)>;
-  /// Optional callback to invalidate SM TLB entries of an evicted block.
-  using TlbInvalidate = std::function<void(BlockNum)>;
+  /// `waker(ctx, warp, ready)` is invoked when a stalled warp's access
+  /// completes — a plain function pointer + context, like the event queue's
+  /// warp steppers, so a wake costs no type-erased call.
+  using WarpWaker = void (*)(void* ctx, WarpId w, Cycle ready);
+  /// Optional hook run once per evicted victim set, after the victims left
+  /// the block table, for device-side caches that must drop their lines (the
+  /// GPU's L2 model). SM TLBs need none: their entries are tagged with the
+  /// block's eviction count, which the eviction itself bumps (gpu/tlb.hpp).
+  using EvictionHook = void (*)(void* ctx, std::span<const BlockNum> victims);
 
   /// `shared_host_mem` (optional) is the host-DRAM bandwidth regulator; pass
   /// one shared instance when several drivers (GPUs) contend for the same
@@ -63,8 +68,14 @@ class UvmDriver {
             EventQueue& queue, SimStats& stats,
             BandwidthRegulator* shared_host_mem = nullptr);
 
-  void set_warp_waker(WarpWaker w) { waker_ = std::move(w); }
-  void set_tlb_invalidate(TlbInvalidate f) { tlb_invalidate_ = std::move(f); }
+  void set_warp_waker(WarpWaker fn, void* ctx) noexcept {
+    waker_ = fn;
+    waker_ctx_ = ctx;
+  }
+  void set_eviction_hook(EvictionHook fn, void* ctx) noexcept {
+    eviction_hook_ = fn;
+    eviction_hook_ctx_ = ctx;
+  }
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
   /// Attach this driver (as GPU `gpu_id`) to a multi-GPU peer directory:
   /// residency is published and remote accesses may be served over the peer
@@ -108,6 +119,18 @@ class UvmDriver {
     BlockNum block;
     bool with_prefetch;
   };
+  /// Warps stalled on in-flight blocks: one FIFO per block, threaded through
+  /// a pooled node array and recycled through a free list, so a wait and a
+  /// wake allocate nothing once the pool covers the peak waiter count.
+  static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+  struct WaiterNode {
+    WarpId warp;
+    std::uint32_t next;  ///< next node of the same FIFO (or free list)
+  };
+  struct WaiterList {
+    std::uint32_t head = kNoWaiter;
+    std::uint32_t tail = kNoWaiter;
+  };
 
   [[nodiscard]] PolicyFeatures features(AccessType type, std::uint32_t post_count,
                                         std::uint32_t round_trips, Cycle now) const noexcept;
@@ -115,6 +138,8 @@ class UvmDriver {
   void roll_feature_window(Cycle now) noexcept;
   [[nodiscard]] AuditScope audit_scope() const noexcept;
   void raise_fault(BlockNum b, WarpId w, bool with_prefetch);
+  /// Append `w` to block `b`'s waiter FIFO.
+  void add_waiter(BlockNum b, WarpId w);
   void maybe_start_engine();
   void process_batch();
   /// Runtime dispatchers picking the <kTrace, kAudit> instantiation that
@@ -165,7 +190,9 @@ class UvmDriver {
   BandwidthRegulator* host_mem_;
 
   std::vector<MemAdvice> block_advice_;  ///< per-block placement hint
-  std::unordered_map<BlockNum, std::vector<WarpId>> waiters_;
+  std::vector<WaiterList> waiters_;      ///< per-block waiter FIFO
+  std::vector<WaiterNode> waiter_nodes_;
+  std::uint32_t free_waiters_ = kNoWaiter;  ///< free-list head in waiter_nodes_
   /// Fault queue as a vector + head cursor (FIFO; the head range is compacted
   /// away whenever the queue drains, which it does every few batches).
   std::vector<PendingFault> pending_;
@@ -177,8 +204,10 @@ class UvmDriver {
   /// engine batch) — no transfer enqueued for them yet.
   std::uint64_t queued_fault_blocks_ = 0;
 
-  WarpWaker waker_;
-  TlbInvalidate tlb_invalidate_;
+  WarpWaker waker_ = nullptr;
+  void* waker_ctx_ = nullptr;
+  EvictionHook eviction_hook_ = nullptr;
+  void* eviction_hook_ctx_ = nullptr;
   TraceSink* trace_ = nullptr;
   PeerDirectory* peers_ = nullptr;
   std::uint32_t gpu_id_ = 0;

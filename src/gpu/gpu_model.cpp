@@ -16,16 +16,22 @@ GpuModel::GpuModel(const SimConfig& cfg, EventQueue& queue, UvmDriver& driver, S
   tlbs_.reserve(cfg.gpu.num_sms);
   for (std::uint32_t s = 0; s < cfg.gpu.num_sms; ++s) tlbs_.emplace_back(cfg.gpu.tlb_entries_per_sm);
 
-  if (cfg.gpu.l2.enabled) l2_ = std::make_unique<L2Cache>(cfg.gpu.l2);
+  driver_.set_warp_waker(&GpuModel::wake_warp_thunk, this);
+  // The TLBs need no eviction hook (their entries carry the block's
+  // eviction count as an epoch); the L2, when modelled, drops victim lines.
+  if (cfg.gpu.l2.enabled) {
+    l2_ = std::make_unique<L2Cache>(cfg.gpu.l2);
+    driver_.set_eviction_hook(&GpuModel::invalidate_l2_thunk, this);
+  }
+}
 
-  driver_.set_warp_waker([this](WarpId w, Cycle ready) { wake_warp(w, ready); });
-  driver_.set_tlb_invalidate([this](BlockNum b) {
-    const PageNum first = first_page_of_block(b);
-    for (auto& tlb : tlbs_) {
-      for (PageNum p = first; p < first + kPagesPerBlock; ++p) tlb.invalidate(p);
-    }
-    if (l2_) l2_->invalidate_block(b);
-  });
+void GpuModel::wake_warp_thunk(void* ctx, WarpId w, Cycle ready) {
+  static_cast<GpuModel*>(ctx)->wake_warp(w, ready);
+}
+
+void GpuModel::invalidate_l2_thunk(void* ctx, std::span<const BlockNum> victims) {
+  L2Cache& l2 = *static_cast<GpuModel*>(ctx)->l2_;
+  for (const BlockNum b : victims) l2.invalidate_block(b);
 }
 
 bool GpuModel::refill(WarpCtx& warp) {
@@ -89,9 +95,11 @@ void GpuModel::step_warp(WarpId w) {
   if (sm_next_issue_[warp.sm] > issue) issue = sm_next_issue_[warp.sm];
   sm_next_issue_[warp.sm] = issue + 1;
 
-  // TLB lookup; a miss pays the page-table-walk latency before the access.
+  // TLB lookup under the block's current mapping epoch (its eviction
+  // count); a miss pays the page-table-walk latency before the access.
   Cycle start = issue;
-  if (tlbs_[warp.sm].access(page_of(a.addr))) {
+  const std::uint32_t epoch = driver_.blocks().round_trips(block_of(a.addr));
+  if (tlbs_[warp.sm].access(page_of(a.addr), epoch)) {
     ++stats_.tlb_hits;
   } else {
     ++stats_.tlb_misses;

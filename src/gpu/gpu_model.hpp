@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
-
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/uvm_driver.hpp"
 #include "gpu/l2_cache.hpp"
@@ -54,6 +54,10 @@ class GpuModel {
   static void step_warp_thunk(void* ctx, WarpId w);
   /// Called by the driver when a stalled warp's access completes.
   void wake_warp(WarpId w, Cycle ready);
+  static void wake_warp_thunk(void* ctx, WarpId w, Cycle ready);
+  /// Driver eviction hook (registered only with the L2 model on): drops the
+  /// victims' L2 lines.
+  static void invalidate_l2_thunk(void* ctx, std::span<const BlockNum> victims);
   void finish_access(WarpId w, Cycle done);
   bool refill(WarpCtx& warp);
   void retire_warp(WarpId w);

@@ -5,8 +5,11 @@
 // exposed for fidelity ablations (SimConfig::gpu.l2).
 //
 // Coherence with migration: when the driver evicts a basic block from device
-// memory, the GPU invalidates the block's L2 lines (alongside the TLB
-// shootdown), so stale lines never serve data the device no longer owns.
+// memory, the GPU invalidates the block's L2 lines through the driver's
+// eviction hook, so stale lines never serve data the device no longer owns.
+// Unlike the TLBs (gpu/tlb.hpp) the L2 keeps explicit invalidation: its
+// replacement prefers invalid ways, so a stale-but-valid line would change
+// victim choice unless every way also checked an epoch.
 #pragma once
 
 #include <cstdint>

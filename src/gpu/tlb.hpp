@@ -2,6 +2,14 @@
 // is a good approximation of the small per-SM MMU caches at the fidelity we
 // need (sequential streams hit, scattered access misses and pays the page
 // table walk).
+//
+// Shootdown by epoch: every entry carries the mapping epoch of its page's
+// basic block — the block's eviction count (BlockTable::round_trips), which
+// only ever grows. A lookup hits only when page and epoch both match, so an
+// eviction stales every cached translation of the block at once, with no
+// per-page invalidation. Because the TLB is direct-mapped this is exactly
+// the explicit shootdown: a cleared slot and a stale slot both miss, and
+// both are overwritten by the next page that maps to them.
 #pragma once
 
 #include <bit>
@@ -10,39 +18,39 @@
 
 #include "sim/types.hpp"
 
+/// Feature-test macro for out-of-tree consumers built against both this TLB
+/// and the per-page-invalidation one (bench/perf_hotpath.cpp is grafted onto
+/// the baseline worktree by scripts/bench.sh).
+#define UVMSIM_TLB_HAS_EPOCH 1
+
 namespace uvmsim {
 
 class Tlb {
  public:
   explicit Tlb(std::uint32_t entries)
-      : slots_(entries, kEmpty), pow2_(std::has_single_bit(entries)), mask_(entries - 1) {}
+      : slots_(entries), pow2_(std::has_single_bit(entries)), mask_(entries - 1) {}
 
-  /// Look up `p`, installing it on miss. Returns true on hit.
-  bool access(PageNum p) noexcept {
-    auto& slot = slots_[index(p)];
-    if (slot == p) return true;
-    slot = p;
+  /// Look up `p` mapped under `epoch`, installing it on miss. Returns true
+  /// on hit.
+  bool access(PageNum p, std::uint32_t epoch) noexcept {
+    Entry& slot = slots_[index(p)];
+    if (slot.page == p && slot.epoch == epoch) return true;
+    slot.page = p;
+    slot.epoch = epoch;
     return false;
   }
 
-  /// Drop any entry covering page `p` (shootdown on eviction).
-  void invalidate(PageNum p) noexcept {
-    auto& slot = slots_[index(p)];
-    if (slot == p) slot = kEmpty;
-  }
-
-  void flush() noexcept {
-    for (auto& s : slots_) s = kEmpty;
-  }
-
  private:
-  static constexpr PageNum kEmpty = ~PageNum{0};
+  struct Entry {
+    PageNum page = ~PageNum{0};
+    std::uint32_t epoch = 0;
+  };
   /// Direct-mapped slot; the usual power-of-two capacity (default 64) maps
   /// with a mask instead of a per-access 64-bit division.
   [[nodiscard]] std::size_t index(PageNum p) const noexcept {
     return pow2_ ? (p & mask_) : p % slots_.size();
   }
-  std::vector<PageNum> slots_;
+  std::vector<Entry> slots_;
   bool pow2_;
   std::size_t mask_;
 };

@@ -1,5 +1,7 @@
 #include "mem/block_table.hpp"
 
+#include <limits>
+
 #include "check/check.hpp"
 #include "mem/eviction_index.hpp"
 
@@ -14,6 +16,7 @@ BlockTable::BlockTable(const AddressSpace& space) : space_(space) {
   // expression manufactured a phantom chunk with no mapped blocks.
   chunks_.resize(nblocks == 0 ? 0 : chunk_of_block(nblocks - 1) + 1);
   chunk_nblocks_.resize(chunks_.size());
+  occupancy_.assign(chunks_.size(), 0);
   coalesced_.assign(chunks_.size(), 0);
   for (ChunkNum c = 0; c < chunks_.size(); ++c) {
     chunk_nblocks_[c] = space.chunk_num_blocks(c);
@@ -26,6 +29,7 @@ void BlockTable::mark_in_flight(BlockNum b) {
                 << " state=" << to_cstr(residence(b)) << " round_trips=" << round_trips_[b]);
   state_[b] = static_cast<std::uint8_t>(
       (state_[b] & ~kResidenceMask) | static_cast<std::uint8_t>(Residence::kInFlight));
+  occupancy_[chunk_of_block(b)] |= leaf_bit(b);
 }
 
 void BlockTable::mark_resident(BlockNum b, Cycle now) {
@@ -57,9 +61,13 @@ bool BlockTable::mark_evicted(BlockNum b) {
                 << chunk_of_block(b) << " without splintering first");
   const std::uint8_t st = state_[b];
   const bool was_dirty = (st & kDirtyBit) != 0;
+  UVM_CHECK(round_trips_[b] != std::numeric_limits<std::uint32_t>::max(),
+            "BlockTable: eviction count of block " << b
+                << " would wrap, reviving stale TLB entries of its epoch");
   state_[b] = static_cast<std::uint8_t>(
       (st & ~(kResidenceMask | kDirtyBit)) | static_cast<std::uint8_t>(Residence::kHost));
   ++round_trips_[b];
+  occupancy_[chunk_of_block(b)] &= ~leaf_bit(b);
   ChunkResidency& c = chunks_[chunk_of_block(b)];
   UVM_CHECK(c.resident_blocks > 0,
             "BlockTable: chunk " << chunk_of_block(b)

@@ -125,6 +125,8 @@ class BlockTable {
   /// Transition `b` in-flight -> device (migration arrived).
   void mark_resident(BlockNum b, Cycle now);
   /// Transition `b` device -> host (evicted); returns true if it was dirty.
+  /// The only writer of round_trips(b), which the SM TLBs use as the
+  /// block's mapping epoch: it only ever grows and must never wrap.
   bool mark_evicted(BlockNum b);
 
   /// Blocks of chunk `c` currently device-resident.
@@ -144,6 +146,14 @@ class BlockTable {
         fn(b);
       }
     }
+  }
+
+  /// Bitmap of chunk `c`'s non-host blocks: bit i is set while block
+  /// first_block_of_chunk(c) + i is in flight or resident. Maintained by
+  /// mark_in_flight / mark_evicted, so the tree prefetcher reads a chunk's
+  /// occupancy in one load instead of scanning its state bytes.
+  [[nodiscard]] std::uint32_t chunk_occupancy(ChunkNum c) const noexcept {
+    return occupancy_[c];
   }
 
   /// True when every mapped block of chunk `c` is resident. Zero-mapped
@@ -191,6 +201,7 @@ class BlockTable {
     state_[b] = static_cast<std::uint8_t>(
         (state_[b] & ~kResidenceMask) | static_cast<std::uint8_t>(r));
   }
+  void testonly_set_round_trips(BlockNum b, std::uint32_t n) noexcept { round_trips_[b] = n; }
   void testonly_corrupt_dirty(BlockNum b, bool dirty) noexcept {
     if (dirty)
       state_[b] |= kDirtyBit;
@@ -205,6 +216,9 @@ class BlockTable {
   static constexpr std::uint8_t kDirtyOnArrivalBit = 0x08;
   static constexpr std::uint8_t kWrittenEverBit = 0x10;
   static constexpr std::uint8_t kThrashedOnceBit = 0x20;
+  [[nodiscard]] static std::uint32_t leaf_bit(BlockNum b) noexcept {
+    return 1u << (b & (kBlocksPerLargePage - 1));
+  }
   static_assert(static_cast<std::uint8_t>(Residence::kHost) <= kResidenceMask &&
                     static_cast<std::uint8_t>(Residence::kInFlight) <= kResidenceMask &&
                     static_cast<std::uint8_t>(Residence::kDevice) <= kResidenceMask,
@@ -216,6 +230,7 @@ class BlockTable {
   std::vector<std::uint32_t> round_trips_; ///< eviction count, parallel to state_
   std::vector<std::uint32_t> chunk_nblocks_;  ///< cached space_.chunk_num_blocks
   std::vector<ChunkResidency> chunks_;
+  std::vector<std::uint32_t> occupancy_;  ///< per chunk: non-host block bitmap
   std::vector<std::uint8_t> coalesced_;  ///< 1 = chunk holds a 2 MB mapping
   std::uint64_t num_coalesced_ = 0;      ///< invariant: popcount of coalesced_
   EvictionIndex* index_ = nullptr;

@@ -68,25 +68,24 @@ void TreePrefetcher::expand(BlockNum b, const BlockTable& table, std::vector<Blo
   const std::uint32_t n = table.chunk_num_blocks(c);
   if (n <= 1) return;
 
-  // Occupancy bitmap: device-resident, in-flight, already-selected leaves,
-  // and the demand leaf itself.
-  std::uint32_t occupied = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Residence r = table.residence(first + i);
-    if (r != Residence::kHost) occupied |= 1u << i;
-  }
+  // Occupancy bitmap: device-resident and in-flight leaves (the table keeps
+  // them as one mask per chunk), already-selected leaves, and the demand
+  // leaf itself.
+  const std::uint32_t mapped = n >= 32 ? ~0u : (1u << n) - 1u;
+  std::uint32_t occupied = table.chunk_occupancy(c) & mapped;
   for (BlockNum sel : out) {
     if (chunk_of_block(sel) == c) occupied |= 1u << static_cast<std::uint32_t>(sel - first);
   }
   const auto leaf = static_cast<std::uint32_t>(b - first);
   occupied |= 1u << leaf;
 
+  // Every selected leaf is unoccupied — host-resident and not yet in `out` —
+  // and, the leaf count being a power of two, inside the mapped range.
   std::uint32_t mask = expand_mask(occupied, leaf, n);
   while (mask != 0) {
     const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
     mask &= mask - 1;
-    const BlockNum nb = first + i;
-    if (prefetchable(nb, table, out)) out.push_back(nb);
+    out.push_back(first + i);
   }
 }
 

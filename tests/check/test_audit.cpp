@@ -114,6 +114,16 @@ TEST_F(AuditTest, CorruptBlockResidenceIsCaught) {
   EXPECT_TRUE(mentions(r, "device:"));
 }
 
+TEST_F(AuditTest, CorruptOccupancyMaskIsCaught) {
+  migrate(0, 5);
+  // Flip a host block to in-flight behind the chunk occupancy mask's back:
+  // the tree prefetcher would now offer a block that is already on its way.
+  table_->testonly_corrupt_residence(3, Residence::kInFlight);
+  InvariantAuditor aud = auditor();
+  const AuditReport r = aud.audit_now(scope());
+  EXPECT_TRUE(mentions(r, "residency: chunk 0 occupancy mask 0x1 but block scan gives 0x9"));
+}
+
 TEST_F(AuditTest, CorruptChunkAggregateIsCaught) {
   migrate(0, 5);
   table_->chunk(0).resident_blocks = 7;  // scan says 1

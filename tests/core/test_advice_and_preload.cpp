@@ -36,7 +36,6 @@ class AdviceDriverTest : public ::testing::Test {
     queue_ = EventQueue{};
     stats_ = SimStats{};
     driver_ = std::make_unique<UvmDriver>(cfg_, space_, 8 * kLargePageSize, queue_, stats_);
-    driver_->set_warp_waker([](WarpId, Cycle) {});
   }
 
   AccessOutcome access(VirtAddr addr, AccessType t = AccessType::kRead,

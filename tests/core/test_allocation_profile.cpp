@@ -30,7 +30,6 @@ TEST(AllocationProfileDriver, ClassifiesByDensity) {
   EventQueue queue;
   SimStats stats;
   UvmDriver driver(cfg, space, 8 * kLargePageSize, queue, stats);
-  driver.set_warp_waker([](WarpId, Cycle) {});
 
   // Dense traffic on "hot", a trickle on "cold", nothing on "idle".
   for (int i = 0; i < 100; ++i) {

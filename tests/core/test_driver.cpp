@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace uvmsim {
 namespace {
@@ -21,7 +23,14 @@ class DriverTest : public ::testing::Test {
     stats_ = SimStats{};
     driver_ = std::make_unique<UvmDriver>(cfg_, space_, capacity, queue_, stats_);
     woken_.clear();
-    driver_->set_warp_waker([this](WarpId w, Cycle c) { woken_[w] = c; });
+    wakes_.clear();
+    driver_->set_warp_waker(
+        [](void* self, WarpId w, Cycle c) {
+          auto* t = static_cast<DriverTest*>(self);
+          t->woken_[w] = c;
+          t->wakes_.emplace_back(w, c);
+        },
+        this);
   }
 
   /// Issue an access and drain the event queue.
@@ -38,6 +47,7 @@ class DriverTest : public ::testing::Test {
   SimStats stats_;
   std::unique_ptr<UvmDriver> driver_;
   std::map<WarpId, Cycle> woken_;
+  std::vector<std::pair<WarpId, Cycle>> wakes_;  ///< every wake, in call order
 };
 
 TEST_F(DriverTest, FirstTouchMigratesAndWakes) {
@@ -250,6 +260,63 @@ TEST_F(DriverTest, MultipleWaitersWakeTogether) {
   EXPECT_TRUE(woken_.contains(1));
   EXPECT_TRUE(woken_.contains(2));
   EXPECT_EQ(stats_.replayed_accesses, 2u);
+}
+
+TEST_F(DriverTest, JoinedWaitersWakeInJoinOrderAtOneCycle) {
+  // Warp 5 raises the fault; 2, 9 and 1 join the in-flight block later.
+  ASSERT_TRUE(driver_->access(5, 0, AccessType::kRead, 1, 0).stalled);
+  for (const WarpId w : {2u, 9u, 1u}) {
+    ASSERT_TRUE(driver_->access(w, 128 * w, AccessType::kRead, 1, 0).stalled);
+  }
+  EXPECT_EQ(stats_.far_faults, 1u);
+  queue_.run();
+  ASSERT_EQ(wakes_.size(), 4u);
+  const std::vector<WarpId> order{wakes_[0].first, wakes_[1].first, wakes_[2].first,
+                                  wakes_[3].first};
+  EXPECT_EQ(order, (std::vector<WarpId>{5, 2, 9, 1}));
+  for (const auto& [w, ready] : wakes_) EXPECT_EQ(ready, wakes_[0].second) << w;
+  EXPECT_EQ(stats_.replayed_accesses, 4u);
+}
+
+TEST_F(DriverTest, WarpStalledOnTwoBlocksWakesOncePerBlock) {
+  // The same warp id faults on two chunks; each arrival wakes it once.
+  SimConfig cfg;
+  cfg.mem.prefetcher = PrefetcherKind::kNone;
+  rebuild(cfg);
+  ASSERT_TRUE(driver_->access(3, 0, AccessType::kRead, 1, 0).stalled);
+  ASSERT_TRUE(driver_->access(3, kLargePageSize, AccessType::kRead, 1, 0).stalled);
+  ASSERT_TRUE(driver_->access(4, kLargePageSize, AccessType::kRead, 1, 0).stalled);
+  queue_.run();
+  ASSERT_EQ(wakes_.size(), 3u);
+  EXPECT_EQ(wakes_[0].first, 3u);
+  EXPECT_EQ(wakes_[1].first, 3u);
+  EXPECT_EQ(wakes_[2].first, 4u);
+  EXPECT_LE(wakes_[0].second, wakes_[1].second);
+  EXPECT_EQ(wakes_[1].second, wakes_[2].second);
+  EXPECT_EQ(stats_.replayed_accesses, 3u);
+  EXPECT_TRUE(driver_->idle());
+}
+
+TEST_F(DriverTest, ReplayedAccessesCountEveryWake) {
+  // Waiter nodes are recycled across arrivals: successive waves of faults
+  // and joins must wake exactly the warps that stalled, wave after wave.
+  SimConfig cfg;
+  cfg.mem.prefetcher = PrefetcherKind::kNone;
+  rebuild(cfg, /*capacity=*/8 * kLargePageSize);
+  std::uint64_t stalls = 0;
+  for (BlockNum wave = 0; wave < 6; ++wave) {
+    for (WarpId w = 0; w < 8; ++w) {
+      const BlockNum b = wave * 8 + w % 3;  // 3 blocks per wave, shared
+      if (driver_->access(w, addr_of_block(b), AccessType::kRead, 1, queue_.now()).stalled) {
+        ++stalls;
+      }
+    }
+    queue_.run();
+  }
+  EXPECT_EQ(stalls, 6u * 8u);
+  EXPECT_EQ(wakes_.size(), stalls);
+  EXPECT_EQ(stats_.replayed_accesses, stalls);
+  EXPECT_EQ(stats_.far_faults, 6u * 3u);
 }
 
 TEST_F(DriverTest, FaultBatchingAmortizesHandling) {

@@ -18,7 +18,9 @@ class DriverEdgeTest : public ::testing::Test {
     queue_ = EventQueue{};
     stats_ = SimStats{};
     driver_ = std::make_unique<UvmDriver>(cfg_, space_, capacity, queue_, stats_);
-    driver_->set_warp_waker([this](WarpId w, Cycle c) { woken_[w] = c; });
+    driver_->set_warp_waker(
+        [](void* self, WarpId w, Cycle c) { static_cast<DriverEdgeTest*>(self)->woken_[w] = c; },
+        this);
   }
 
   SimConfig cfg_;

@@ -23,7 +23,6 @@ TEST(HostMemory, TightHostBandwidthSlowsRemoteAccess) {
     EventQueue queue;
     SimStats stats;
     UvmDriver driver(cfg, space, 8 * kLargePageSize, queue, stats);
-    driver.set_warp_waker([](WarpId, Cycle) {});
     Cycle last = 0;
     for (int i = 0; i < 64; ++i) {
       last = driver.access(0, 0, AccessType::kRead, 16, 0).done;
@@ -48,8 +47,6 @@ TEST(HostMemory, SharedRegulatorSerializesAcrossDrivers) {
   BandwidthRegulator host(cfg.xfer.host_memory_bandwidth_gbps / cfg.gpu.core_clock_ghz);
   UvmDriver d1(cfg, space, 8 * kLargePageSize, queue, s1, &host);
   UvmDriver d2(cfg, space, 8 * kLargePageSize, queue, s2, &host);
-  d1.set_warp_waker([](WarpId, Cycle) {});
-  d2.set_warp_waker([](WarpId, Cycle) {});
 
   (void)d1.access(0, 0, AccessType::kRead, 1, 0);
   (void)d2.access(0, 0, AccessType::kRead, 1, 0);

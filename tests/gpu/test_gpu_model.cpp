@@ -40,6 +40,29 @@ class GpuModelTest : public ::testing::Test {
     gpu_ = std::make_unique<GpuModel>(cfg_, queue_, *driver_, stats_);
   }
 
+  /// Rebuilds the rig around a one-chunk device (no prefetch), then runs one
+  /// warp over page 5 of block 0 twice and the second page of every block of
+  /// chunk 1. Filling chunk 1 evicts chunk 0, block 0 included; the chunk-1
+  /// pages map to TLB slots and L2 sets apart from page 5's. Returns the
+  /// number of accesses run.
+  std::size_t evict_block0_after_caching_page5() {
+    cfg_.mem.prefetcher = PrefetcherKind::kNone;
+    gpu_.reset();
+    driver_ = std::make_unique<UvmDriver>(cfg_, space_, kLargePageSize, queue_, stats_);
+    gpu_ = std::make_unique<GpuModel>(cfg_, queue_, *driver_, stats_);
+    std::vector<Access> accesses{Access{5 * kPageSize, AccessType::kRead, 1, 0},
+                                 Access{5 * kPageSize, AccessType::kRead, 1, 0}};
+    for (BlockNum b = kBlocksPerLargePage; b < 2 * kBlocksPerLargePage; ++b) {
+      accesses.push_back(Access{addr_of_block(b) + kPageSize, AccessType::kRead, 1, 0});
+    }
+    ListKernel fill(accesses, accesses.size());
+    gpu_->launch(fill, [] {});
+    queue_.run();
+    EXPECT_EQ(driver_->blocks().round_trips(0), 1u);
+    EXPECT_EQ(driver_->blocks().residence(0), Residence::kHost);
+    return accesses.size();
+  }
+
   SimConfig cfg_;
   AddressSpace space_;
   EventQueue queue_;
@@ -119,6 +142,37 @@ TEST_F(GpuModelTest, TlbHitsOnRepeatedPageAccess) {
   queue_.run();
   EXPECT_EQ(stats_.tlb_misses, 1u);
   EXPECT_EQ(stats_.tlb_hits, 15u);
+}
+
+TEST_F(GpuModelTest, EvictionShootsDownTlbEntry) {
+  const std::size_t n = evict_block0_after_caching_page5();
+  EXPECT_EQ(stats_.tlb_hits, 1u);
+  EXPECT_EQ(stats_.tlb_misses, n - 1);
+
+  // Page 5's translation still sits in its slot, but its block was evicted
+  // since it was cached: the next access misses, the one after hits again.
+  ListKernel again({Access{5 * kPageSize, AccessType::kRead, 1, 0},
+                    Access{5 * kPageSize, AccessType::kRead, 1, 0}},
+                   2);
+  gpu_->launch(again, [] {});
+  queue_.run();
+  EXPECT_EQ(stats_.tlb_misses, n);
+  EXPECT_EQ(stats_.tlb_hits, 2u);
+}
+
+TEST_F(GpuModelTest, EvictionInvalidatesL2Lines) {
+  cfg_.gpu.l2.enabled = true;
+  evict_block0_after_caching_page5();
+  EXPECT_EQ(stats_.l2_hits, 1u);
+
+  // The evicted block's line left the L2: the access misses there and
+  // faults the block back in.
+  const auto faults = stats_.far_faults;
+  ListKernel again({Access{5 * kPageSize, AccessType::kRead, 1, 0}}, 1);
+  gpu_->launch(again, [] {});
+  queue_.run();
+  EXPECT_EQ(stats_.l2_hits, 1u);
+  EXPECT_EQ(stats_.far_faults, faults + 1);
 }
 
 TEST_F(GpuModelTest, GapDelaysNextIssue) {

@@ -84,6 +84,29 @@ TEST_F(BlockTableTest, EvictionClearsDirtyForNextRound) {
   EXPECT_FALSE(table_->mark_evicted(1));
 }
 
+TEST_F(BlockTableTest, OccupancyMaskTracksNonHostBlocks) {
+  EXPECT_EQ(table_->chunk_occupancy(0), 0u);
+  table_->mark_in_flight(3);
+  table_->mark_in_flight(31);
+  table_->mark_in_flight(33);  // chunk 1, leaf 1
+  EXPECT_EQ(table_->chunk_occupancy(0), (1u << 3) | (1u << 31));
+  EXPECT_EQ(table_->chunk_occupancy(1), 1u << 1);
+  table_->mark_resident(3, 1);  // in flight -> resident: still occupied
+  EXPECT_EQ(table_->chunk_occupancy(0), (1u << 3) | (1u << 31));
+  table_->mark_evicted(3);
+  EXPECT_EQ(table_->chunk_occupancy(0), 1u << 31);
+}
+
+TEST_F(BlockTableTest, EvictionCountNeverWraps) {
+  // The eviction count is the block's TLB epoch; wrapping would revive
+  // translations cached before 2^32 evictions.
+  table_->testonly_set_round_trips(4, ~std::uint32_t{0});
+  table_->mark_in_flight(4);
+  table_->mark_resident(4, 1);
+  EXPECT_THROW(table_->mark_evicted(4), CheckFailure);
+  EXPECT_EQ(table_->round_trips(4), ~std::uint32_t{0});
+}
+
 TEST_F(BlockTableTest, ChunkFullyResident) {
   EXPECT_FALSE(table_->chunk_fully_resident(0));
   for (BlockNum b = 0; b < kBlocksPerLargePage; ++b) {
