@@ -87,10 +87,8 @@ bool EventQueue::step() {
     if (h.when != wheel_next_) {
       take_wheel = wheel_next_ < h.when;
     } else {
-      const std::vector<Entry>& bucket =
-          buckets_[static_cast<std::size_t>(wheel_next_) & kWheelMask];
-      const std::size_t pos = drain_cycle_ == wheel_next_ ? drain_pos_ : 0;
-      take_wheel = bucket[pos].seq < h.seq;
+      const Bucket& bucket = buckets_[static_cast<std::size_t>(wheel_next_) & kWheelMask];
+      take_wheel = nodes_[bucket.head].seq < h.seq;
     }
   } else if (!have_wheel && heap_.empty()) {
     return false;
@@ -98,17 +96,16 @@ bool EventQueue::step() {
 
   if (take_wheel) {
     const std::size_t b = static_cast<std::size_t>(wheel_next_) & kWheelMask;
-    std::vector<Entry>& bucket = buckets_[b];
-    if (drain_cycle_ != wheel_next_) {
-      drain_cycle_ = wheel_next_;
-      drain_pos_ = 0;
-    }
-    const Entry e = bucket[drain_pos_++];
+    Bucket& bucket = buckets_[b];
+    const std::uint32_t n = bucket.head;
+    const Node e = nodes_[n];
+    bucket.head = e.next;
+    // Recycle the node before firing: the event may schedule (reusing it).
+    nodes_[n].next = free_node_;
+    free_node_ = n;
     --wheel_count_;
     now_ = wheel_next_;
-    if (drain_pos_ == bucket.size()) {
-      bucket.clear();
-      drain_pos_ = 0;
+    if (bucket.head == kNoSlot) {
       occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       // Everything left in the wheel is strictly later than now_ (same-cycle
       // pushes would have landed in the bucket just drained); a later push at

@@ -13,6 +13,12 @@
 // strict (when, seq) order is preserved exactly and replay stays
 // bit-identical with the heap-only implementation.
 //
+// A bucket is a FIFO threaded through one shared node pool, so the wheel's
+// memory is a 32 KB head/tail array plus one node per event pending at
+// once: the kernel's hottest structure stays small enough that other work
+// on the core does not push it out of cache (docs/PERF.md, "Run-to-run
+// spread").
+//
 // Two event flavours share the wheel and the heap:
 //   * actions — EventAction (small-buffer type-erased callables) in a slot
 //     pool recycled through an intrusive free list;
@@ -235,14 +241,23 @@ class EventQueue {
     std::uint32_t next_free = kNoSlot;  ///< free-list link while recycled
   };
 
-  /// Wheel bucket entry. All live entries of one bucket share the same
-  /// absolute cycle (every wheel event satisfies when ∈ [now, now+span), so
-  /// two cycles can never alias to one bucket), and the monotone global seq
-  /// means appends keep each bucket sorted — the front entry is the minimum.
-  struct Entry {
+  /// Wheel node: one pending in-wheel event, linked into its bucket's FIFO
+  /// (or, once fired, into the free list). All live nodes of one bucket share
+  /// the same absolute cycle (every wheel event satisfies when ∈ [now,
+  /// now+span), so two cycles can never alias to one bucket), and the
+  /// monotone global seq means tail appends keep each FIFO sorted — the head
+  /// is the minimum.
+  struct Node {
     std::uint64_t seq;
     std::uint32_t payload;
     std::uint32_t kind;
+    std::uint32_t next;  ///< next node of the same bucket (or free list)
+  };
+  /// One wheel bucket: head and tail of its FIFO in nodes_. Empty while head
+  /// is kNoSlot; tail is only read while it is not.
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   /// Heap node: ordering keys inline so comparisons never touch the pool.
@@ -269,10 +284,23 @@ class EventQueue {
   void push_entry(Cycle when, std::uint32_t payload, std::uint32_t kind) {
     const std::uint64_t seq = next_seq_++;
     if (when - now_ < kWheelSpan) {
+      std::uint32_t n = free_node_;
+      if (n != kNoSlot) {
+        free_node_ = nodes_[n].next;
+        nodes_[n] = Node{seq, payload, kind, kNoSlot};
+      } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{seq, payload, kind, kNoSlot});
+      }
       const std::size_t b = static_cast<std::size_t>(when) & kWheelMask;
-      std::vector<Entry>& bucket = buckets_[b];
-      if (bucket.empty()) occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-      bucket.push_back(Entry{seq, payload, kind});
+      Bucket& bucket = buckets_[b];
+      if (bucket.head == kNoSlot) {
+        bucket.head = n;
+        occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
+      } else {
+        nodes_[bucket.tail].next = n;
+      }
+      bucket.tail = n;
       ++wheel_count_;
       if (when < wheel_next_) wheel_next_ = when;
     } else {
@@ -289,17 +317,14 @@ class EventQueue {
   std::vector<Slot> slots_;      ///< grows to the high-water mark, then stable
   std::uint32_t free_head_ = kNoSlot;
 
-  std::array<std::vector<Entry>, kWheelSpan> buckets_;
+  std::array<Bucket, kWheelSpan> buckets_;
   std::array<std::uint64_t, kOccWords> occ_{};  ///< bucket-occupancy bitmap
+  /// Node pool shared by every bucket: grows to the high-water mark of
+  /// pending in-wheel events, then recycles through the free list.
+  std::vector<Node> nodes_;
+  std::uint32_t free_node_ = kNoSlot;  ///< free-list head in nodes_
   std::size_t wheel_count_ = 0;   ///< undrained entries across all buckets
   Cycle wheel_next_ = kNeverCycle;  ///< earliest occupied wheel cycle
-  /// Drain cursor into the bucket currently firing. A partially drained
-  /// bucket is always the one at now_ (nothing else in the wheel can fire
-  /// before it empties, and same-cycle pushes append to it), so one
-  /// (cycle, pos) pair suffices; the bucket is cleared the moment the cursor
-  /// reaches its end.
-  Cycle drain_cycle_ = kNeverCycle;
-  std::size_t drain_pos_ = 0;
 
   std::vector<WarpStepper> steppers_;
   Cycle now_ = 0;
