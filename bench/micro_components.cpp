@@ -79,6 +79,7 @@ void BM_EvictionVictimSelection(benchmark::State& state) {
     counters.record_access(addr_of_block(b), static_cast<std::uint32_t>(b % 100 + 1));
   }
   EvictionManager mgr(EvictionKind::kLfu, kLargePageSize);
+  mgr.attach_index(table, counters);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mgr.select_victims(table, counters, VictimQuery{}));
   }

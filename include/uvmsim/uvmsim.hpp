@@ -48,7 +48,6 @@
 #include "sim/types.hpp"
 #include "trace/replay.hpp"
 #include "trace/replay_workload.hpp"
-#include "trace/timeline.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_binary.hpp"
 #include "workloads/graph_gen.hpp"

@@ -121,6 +121,17 @@ assert "far_faults" in header and "far_faults_delta" in header, \
 print(f"observability smoke: {len(events)} trace events, "
       f"{len(header)} metric columns")
 PY
+# Under --json, stdout carries the run object alone — the --metrics and
+# --chrome-trace notices stay off it — and observation moves no number: the
+# JSON equals the unobserved run's byte for byte.
+build/tools/uvmsim --workload bfs --policy oversub --oversub 1.3333 \
+    --scale 0.1 --json > /tmp/uvmsim_obs_plain.json
+build/tools/uvmsim --workload bfs --policy oversub --oversub 1.3333 \
+    --scale 0.1 --json --metrics /tmp/uvmsim_metrics_j.csv \
+    --chrome-trace /tmp/uvmsim_trace_j.json > /tmp/uvmsim_obs.json
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' /tmp/uvmsim_obs.json
+cmp /tmp/uvmsim_obs_plain.json /tmp/uvmsim_obs.json || {
+  echo "observed run's --json output differs from the unobserved run's"; exit 1; }
 
 # Victim-parity audit: the auditor cross-validates the incremental eviction
 # index against the reference scan (check_eviction_index); any divergence is
@@ -268,8 +279,6 @@ build/tools/uvmsim-analyze --max-findings nope > /dev/null 2>&1 || rc=$?
 if [[ $rc -ne 2 ]]; then
   echo "uvmsim-analyze accepted a garbage --max-findings (rc=$rc, want 2)"; exit 1
 fi
-# The deprecated grep-lint wrapper must keep forwarding successfully.
-tools/lint_determinism > /dev/null
 
 if command -v clang-tidy > /dev/null 2>&1; then
   echo "==> clang-tidy (curated checks over compile_commands.json)"

@@ -17,9 +17,10 @@
 //   mitigation  thrash throttle
 //   mem         block table, device memory, counters, eviction (+ peer directory)
 //   obs-hooks   observation interfaces the driver fires: TraceSink, auditor
+//               (+ the reference victim scan it checks eviction against)
 //   obs         observation-only sinks: metric registry, recorder, chrome trace
 //   prefetch    prefetchers
-//   trace       trace record/replay + timeline (concrete sinks)
+//   trace       trace record/replay (concrete sinks)
 //   workloads   workload generators (+ registry; may wrap trace replay)
 //   core        UvmDriver: the fault-servicing pipeline
 //   gpu         SM / TLB / L2 model (raises faults into core)

@@ -46,10 +46,12 @@ class DeviceMemory;
 class EventQueue;
 class EvictionManager;
 class PcieFabric;
+struct VictimQuery;
 
 /// Read-only view of the structures one audit pass cross-validates. Any
 /// pointer may be null; the corresponding checks are skipped (tests audit
-/// hand-built partial scopes, the driver supplies everything).
+/// hand-built partial scopes, the driver supplies everything). A non-null
+/// `eviction` must have its index attached to `table` and `counters`.
 struct AuditScope {
   const BlockTable* table = nullptr;
   const DeviceMemory* device = nullptr;
@@ -129,5 +131,23 @@ class InvariantAuditor {
   std::uint64_t prev_bytes_h2d_ = 0;
   std::uint64_t prev_bytes_d2h_ = 0;
 };
+
+/// Reference LFU key of chunk `c`: the access-counter count summed over its
+/// device-resident blocks — the aggregate EvictionIndex maintains
+/// incrementally.
+[[nodiscard]] std::uint64_t reference_chunk_frequency(ChunkNum c, const BlockTable& table,
+                                                      const AccessCounterTable& counters);
+
+/// Reference victim scan: the blocks `mgr` must select for `q`, found by an
+/// O(chunks) scan that classifies every resident chunk (full / partial,
+/// busy or not) and ranks the first non-empty class by `mgr.kind()` — LRU
+/// key for LRU and tree, (frequency, written, LRU key) for LFU — in
+/// ascending chunk order with a strict-< compare. The pick is expanded by
+/// `mgr.emit_victims`, so only the chunk choice is independent. Needs no
+/// index: it reads `table` and `counters` directly.
+[[nodiscard]] std::vector<BlockNum> select_victims_reference(const EvictionManager& mgr,
+                                                             const BlockTable& table,
+                                                             const AccessCounterTable& counters,
+                                                             const VictimQuery& q);
 
 }  // namespace uvmsim

@@ -46,35 +46,6 @@ RunResult Simulator::run(Workload& workload, const RunOptions& opts) {
   result.kernels.reserve(launches.size());
 
   // Chain launches: each completion starts the next kernel.
-  // Periodic driver-state sampling; stops once the queue has nothing else.
-  std::function<void()> sample;
-  if (opts.timeline != nullptr) {
-    sample = [&, timeline = opts.timeline, interval = opts.timeline_interval]() {
-      timeline->add(TimelineSample{queue.now(), driver.device().used_blocks(),
-                                   driver.device().capacity_blocks(), stats.far_faults,
-                                   stats.remote_accesses, stats.pages_thrashed,
-                                   stats.bytes_h2d, stats.bytes_d2h, stats.blocks_migrated,
-                                   stats.blocks_prefetched, stats.peer_accesses});
-      if (queue.pending() > 0) queue.schedule_in(interval, sample);
-    };
-    queue.schedule_in(0, sample);
-  }
-
-  // Registry-complete sampling on the shared clock: snapshots land at exact
-  // multiples of the interval so batch entries' series align row-by-row.
-  std::function<void()> metrics_sample;
-  if (opts.metrics != nullptr) {
-    UVM_CHECK(opts.metrics_interval > 0,
-              "RunOptions: metrics_interval must be > 0");
-    metrics_sample = [&, rec = opts.metrics, interval = opts.metrics_interval]() {
-      rec->sample(queue.now(), stats, driver.device().used_blocks(),
-                  driver.device().capacity_blocks());
-      if (queue.pending() > 0)
-        queue.schedule_at((queue.now() / interval + 1) * interval, metrics_sample);
-    };
-    queue.schedule_in(0, metrics_sample);
-  }
-
   std::size_t next = 0;
   std::function<void()> launch_next = [&]() {
     if (next >= launches.size()) return;
@@ -101,7 +72,27 @@ RunResult Simulator::run(Workload& workload, const RunOptions& opts) {
   } else {
     launch_next();
   }
-  queue.run();
+  if (opts.metrics == nullptr) {
+    queue.run();
+  } else {
+    // Sample on the shared clock without scheduling anything, so SimStats
+    // (total_cycles included) equal an unobserved run's: before each event,
+    // record every interval boundary it crosses; after the drain, record the
+    // end state at the first boundary past the last event.
+    UVM_CHECK(opts.metrics_interval > 0, "RunOptions: metrics_interval must be > 0");
+    const Cycle interval = opts.metrics_interval;
+    Cycle boundary = 0;
+    auto sample = [&] {
+      opts.metrics->sample(boundary, stats, driver.device().used_blocks(),
+                           driver.device().capacity_blocks());
+      boundary += interval;
+    };
+    while (!queue.empty()) {
+      while (boundary <= queue.next_event_cycle()) sample();
+      queue.step();
+    }
+    sample();
+  }
 
   if (result.kernels.size() != launches.size() || result.kernels.back().end == 0)
     throw std::logic_error("Simulator: schedule did not run to completion");

@@ -12,7 +12,6 @@
 #include "sim/config.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
-#include "trace/timeline.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workload.hpp"
 
@@ -59,15 +58,12 @@ struct RunResult {
 struct RunOptions {
   /// Access tracing (Fig 2/3 harnesses). Must outlive the run() call.
   TraceSink* trace_sink = nullptr;
-  /// Periodic state sampling every `timeline_interval` cycles. Must outlive
-  /// the run() call; sampling stops when the event queue drains.
-  Timeline* timeline = nullptr;
-  Cycle timeline_interval = 100000;
   /// Registry-complete time series (obs/metrics_recorder.hpp): every
   /// registered metric is snapshotted at absolute multiples of
   /// `metrics_interval` (cycle 0, k, 2k, ...). Because samples sit on that
   /// shared clock, the series of every entry in a run_batch() align
-  /// row-by-row. Must outlive the run() call.
+  /// row-by-row. Sampling is side-effect free: the run's SimStats are
+  /// bit-identical to an unobserved run's. Must outlive the run() call.
   obs::MetricsRecorder* metrics = nullptr;
   Cycle metrics_interval = 100000;
   /// Invoked after the workload builds its allocations — the place to attach
@@ -78,8 +74,6 @@ struct RunOptions {
 class Simulator {
  public:
   explicit Simulator(SimConfig cfg);
-
-  using AdviceHook = std::function<void(AddressSpace&)>;
 
   /// Run `workload` to completion and return the collected results.
   [[nodiscard]] RunResult run(Workload& workload, const RunOptions& opts);

@@ -92,11 +92,4 @@ void BlockTable::splinter(ChunkNum c) {
   --num_coalesced_;
 }
 
-std::vector<BlockNum> BlockTable::resident_blocks_of(ChunkNum c) const {
-  std::vector<BlockNum> out;
-  out.reserve(chunks_[c].resident_blocks);
-  for_each_resident_block(c, [&](BlockNum b) { out.push_back(b); });
-  return out;
-}
-
 }  // namespace uvmsim

@@ -129,10 +129,6 @@ class BlockTable {
   /// block's mapping epoch: it only ever grows and must never wrap.
   bool mark_evicted(BlockNum b);
 
-  /// Blocks of chunk `c` currently device-resident.
-  [[deprecated("materializes a vector per call; use for_each_resident_block")]]
-  [[nodiscard]] std::vector<BlockNum> resident_blocks_of(ChunkNum c) const;
-
   /// Visit the device-resident blocks of chunk `c` in ascending block order
   /// without materializing a vector (the eviction/audit hot path).
   template <typename Fn>

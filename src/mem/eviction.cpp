@@ -8,53 +8,6 @@
 
 namespace uvmsim {
 
-ChunkNum LruEviction::pick(const std::vector<ChunkNum>& candidates, const BlockTable& table,
-                           const AccessCounterTable& /*counters*/) const {
-  ChunkNum best = candidates.front();
-  Cycle best_ts = std::numeric_limits<Cycle>::max();
-  for (ChunkNum c : candidates) {
-    const Cycle ts = table.chunk(c).last_access;
-    if (ts < best_ts) {
-      best_ts = ts;
-      best = c;
-    }
-  }
-  return best;
-}
-
-std::uint64_t LfuEviction::chunk_frequency(ChunkNum c, const BlockTable& table,
-                                           const AccessCounterTable& counters) {
-  const BlockNum first = first_block_of_chunk(c);
-  const std::uint32_t n = table.chunk_num_blocks(c);
-  std::uint64_t total = 0;
-  for (BlockNum b = first; b < first + n; ++b) {
-    if (table.residence(b) == Residence::kDevice) {
-      total += counters.range_count(addr_of_block(b), kBasicBlockSize);
-    }
-  }
-  return total;
-}
-
-ChunkNum LfuEviction::pick(const std::vector<ChunkNum>& candidates, const BlockTable& table,
-                           const AccessCounterTable& counters) const {
-  // Order: lowest frequency first; read-only (never written) before written;
-  // then least recently used. The recency tie-break is what makes the policy
-  // collapse to LRU when frequencies are uniform (regular applications).
-  using Key = std::tuple<std::uint64_t, bool, Cycle>;
-  ChunkNum best = candidates.front();
-  Key best_key{std::numeric_limits<std::uint64_t>::max(), true,
-               std::numeric_limits<Cycle>::max()};
-  for (ChunkNum c : candidates) {
-    const ChunkResidency& cr = table.chunk(c);
-    Key key{chunk_frequency(c, table, counters), cr.written_ever, cr.last_access};
-    if (key < best_key) {
-      best_key = key;
-      best = c;
-    }
-  }
-  return best;
-}
-
 void tree_eviction_subtree_into(ChunkNum c, const BlockTable& table,
                                 std::vector<BlockNum>& out) {
   const BlockNum first = first_block_of_chunk(c);
@@ -98,21 +51,9 @@ std::vector<BlockNum> tree_eviction_subtree(ChunkNum c, const BlockTable& table)
   return out;
 }
 
-std::unique_ptr<EvictionPolicy> make_eviction_policy(EvictionKind kind) {
-  switch (kind) {
-    case EvictionKind::kLru:
-    case EvictionKind::kTree:  // tree mode reuses LRU chunk selection
-      return std::make_unique<LruEviction>();
-    case EvictionKind::kLfu:
-      return std::make_unique<LfuEviction>();
-  }
-  return nullptr;
-}
-
 EvictionManager::EvictionManager(EvictionKind kind, std::uint64_t granularity_bytes,
                                  bool splinter_on_evict)
-    : policy_(make_eviction_policy(kind)),
-      kind_(kind),
+    : kind_(kind),
       granularity_(granularity_bytes),
       splinter_on_evict_(splinter_on_evict) {}
 
@@ -120,41 +61,6 @@ void EvictionManager::attach_index(BlockTable& table, AccessCounterTable& counte
   index_.attach(&table, &counters);
   table.set_eviction_index(&index_);
   counters.set_eviction_index(&index_);
-}
-
-std::vector<BlockNum> EvictionManager::select_victims_reference(
-    const BlockTable& table, const AccessCounterTable& counters,
-    const VictimQuery& q) const {
-  // Gather candidate chunks: resident blocks present, not the faulting
-  // chunk, and (preferably) not under active access by scheduled warps.
-  const Cycle cutoff =
-      q.now > q.protect_window ? q.now - q.protect_window : 0;
-  std::vector<ChunkNum> full, partial, busy_full, busy_partial;
-  for (ChunkNum c = 0; c < table.num_chunks(); ++c) {
-    if (q.has_faulting_chunk && c == q.faulting_chunk) continue;
-    const ChunkResidency& cr = table.chunk(c);
-    if (cr.resident_blocks == 0) continue;
-    const bool busy = q.protect_window != 0 && cr.last_access >= cutoff;
-    const bool fully = table.chunk_fully_resident(c);
-    (fully ? (busy ? busy_full : full) : (busy ? busy_partial : partial)).push_back(c);
-  }
-
-  const std::vector<ChunkNum>& pool = !full.empty()      ? full
-                                      : !partial.empty() ? partial
-                                      : !busy_full.empty() ? busy_full
-                                                           : busy_partial;
-  if (pool.empty()) return {};
-  const ChunkNum victim = policy_->pick(pool, table, counters);
-  UVM_CHECK(table.chunk(victim).resident_blocks > 0,
-            "EvictionManager: policy " << policy_->name() << " picked chunk "
-                << victim << " with no resident blocks");
-  UVM_CHECK(!q.has_faulting_chunk || victim != q.faulting_chunk,
-            "EvictionManager: policy " << policy_->name()
-                << " picked the faulting chunk " << victim);
-
-  std::vector<BlockNum> out;
-  emit_victims(victim, table, counters, out);
-  return out;
 }
 
 ChunkNum EvictionManager::pick_fast(const BlockTable& table,
@@ -272,19 +178,16 @@ void EvictionManager::select_victims_into(const BlockTable& table,
                                           const VictimQuery& q,
                                           std::vector<BlockNum>& out) const {
   out.clear();
-  if (!index_.attached_to(&table, &counters)) {
-    // Hand-built tables (tests, standalone tooling) have no index feeding
-    // them mutation hooks: fall back to the reference scan.
-    out = select_victims_reference(table, counters, q);
-    return;
-  }
+  UVM_CHECK(index_.attached_to(&table, &counters),
+            "EvictionManager: " << to_string(kind_) << " query against a table/counter "
+                << "pair the index is not attached to (call attach_index first)");
   const ChunkNum victim = pick_fast(table, counters, q);
   if (victim == kNilChunk) return;
   UVM_CHECK(table.chunk(victim).resident_blocks > 0,
-            "EvictionManager: policy " << policy_->name() << " picked chunk "
+            "EvictionManager: policy " << to_string(kind_) << " picked chunk "
                 << victim << " with no resident blocks");
   UVM_CHECK(!q.has_faulting_chunk || victim != q.faulting_chunk,
-            "EvictionManager: policy " << policy_->name()
+            "EvictionManager: policy " << to_string(kind_)
                 << " picked the faulting chunk " << victim);
   emit_victims(victim, table, counters, out);
 }

@@ -1,20 +1,18 @@
-// Large-page (2 MB) eviction policies (paper §II-C and §IV "Access Counter
-// Based Page Replacement").
+// Large-page (2 MB) eviction (paper §II-C and §IV "Access Counter Based
+// Page Replacement"). EvictionManager ranks resident chunks by one of:
 //
-// * LruEviction — NVIDIA default: order large pages by last migration/access
+// * LRU — NVIDIA default: order large pages by last migration/access
 //   timestamp; oldest goes first. A large page is preferred as a victim only
 //   when fully populated (so the prefetch-tree semantics survive eviction);
 //   partially populated pages are a fallback to guarantee progress.
-// * LfuEviction — this paper: order by aggregate access-counter frequency so
-//   cold pages are evicted before hot ones; read-only pages are prioritized
+// * LFU — this paper: order by aggregate access-counter frequency so cold
+//   pages are evicted before hot ones; read-only pages are prioritized
 //   (written pages are the expensive ones to lose); ties fall back to LRU
 //   order, which makes the policy degrade to LRU under the uniform access
 //   frequencies of regular applications.
+// * Tree — LRU chunk choice, evicted at prefetch-tree subtree granularity.
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "mem/access_counters.hpp"
@@ -36,39 +34,6 @@ struct VictimQuery {
   Cycle protect_window = 0;
 };
 
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Pick the victim chunk among `candidates` (all have >= 1 resident block,
-  /// faulting chunk already excluded). `fully_resident` tells the policy
-  /// whether each candidate is completely populated.
-  [[nodiscard]] virtual ChunkNum pick(const std::vector<ChunkNum>& candidates,
-                                      const BlockTable& table,
-                                      const AccessCounterTable& counters) const = 0;
-};
-
-class LruEviction final : public EvictionPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "LRU"; }
-  [[nodiscard]] ChunkNum pick(const std::vector<ChunkNum>& candidates,
-                              const BlockTable& table,
-                              const AccessCounterTable& counters) const override;
-};
-
-class LfuEviction final : public EvictionPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "LFU"; }
-  [[nodiscard]] ChunkNum pick(const std::vector<ChunkNum>& candidates,
-                              const BlockTable& table,
-                              const AccessCounterTable& counters) const override;
-
-  /// Aggregate frequency key used for ordering (exposed for tests).
-  [[nodiscard]] static std::uint64_t chunk_frequency(ChunkNum c, const BlockTable& table,
-                                                     const AccessCounterTable& counters);
-};
-
 /// Tree-based page replacement (Ganguly et al. ISCA'19, discussed in this
 /// paper's related work): the victim chunk is chosen by LRU, but instead of
 /// displacing the entire 2 MB page, the eviction unit is the largest
@@ -83,20 +48,16 @@ class LfuEviction final : public EvictionPolicy {
 void tree_eviction_subtree_into(ChunkNum c, const BlockTable& table,
                                 std::vector<BlockNum>& out);
 
-[[nodiscard]] std::unique_ptr<EvictionPolicy> make_eviction_policy(EvictionKind kind);
-
 /// Selects eviction victims for the driver. Prefers fully-populated chunks
 /// per the NVIDIA semantics, falling back to partially-resident chunks (and
 /// then to protect-window-busy ones) to guarantee progress.
 ///
-/// Two implementations with identical victim sequences:
-/// * the reference scan (`select_victims_reference`) — O(chunks) per call
-///   plus a per-candidate counter sweep under LFU; always available, and the
-///   oracle `InvariantAuditor` cross-validates against under --audit;
-/// * the fast path over the incremental `EvictionIndex` — used automatically
-///   once `attach_index` has wired the index to the queried table/counter
-///   pair. LRU/tree picks walk a bounded prefix of the recency list;
-///   LFU walks the resident chunks once with O(1) frequency lookups.
+/// Selection runs over the incremental `EvictionIndex`, which `attach_index`
+/// wires to one table/counter pair; querying any other pair is a
+/// CheckFailure. LRU/tree picks walk a bounded prefix of the recency list;
+/// LFU walks the resident chunks once with O(1) frequency lookups. The
+/// original full scan survives only as the auditor's oracle,
+/// `select_victims_reference` in check/audit.hpp.
 class EvictionManager {
  public:
   /// `splinter_on_evict` only matters once chunks can be coalesced
@@ -110,7 +71,6 @@ class EvictionManager {
 
   [[nodiscard]] EvictionKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::uint64_t granularity() const noexcept { return granularity_; }
-  [[nodiscard]] bool splinter_on_evict() const noexcept { return splinter_on_evict_; }
 
   /// Wire the incremental index to `table`/`counters` mutation hooks and
   /// rebuild it from their current state. The manager (and thus the index)
@@ -131,26 +91,19 @@ class EvictionManager {
   void select_victims_into(const BlockTable& table, const AccessCounterTable& counters,
                            const VictimQuery& q, std::vector<BlockNum>& out) const;
 
-  /// The original full-scan implementation, kept as the cross-validation
-  /// oracle for the incremental index (see InvariantAuditor).
-  [[nodiscard]] std::vector<BlockNum> select_victims_reference(
-      const BlockTable& table, const AccessCounterTable& counters,
-      const VictimQuery& q) const;
-
-  [[nodiscard]] const EvictionPolicy& policy() const noexcept { return *policy_; }
-
- private:
-  /// Fast victim-chunk pick over the index; kNilChunk when nothing is
-  /// evictable. Requires `index_.attached_to(&table, &counters)`.
-  [[nodiscard]] ChunkNum pick_fast(const BlockTable& table,
-                                   const AccessCounterTable& counters,
-                                   const VictimQuery& q) const;
   /// Expand a victim chunk into the blocks to evict (tree subtree, whole
-  /// chunk, or coldest block, depending on kind/granularity).
+  /// chunk, or coldest block, depending on kind/granularity), appending to
+  /// `out`. Public so the reference scan expands its pick the same way.
   void emit_victims(ChunkNum victim, const BlockTable& table,
                     const AccessCounterTable& counters, std::vector<BlockNum>& out) const;
 
-  std::unique_ptr<EvictionPolicy> policy_;
+ private:
+  /// Victim-chunk pick over the index; kNilChunk when nothing is evictable.
+  /// Requires `index_.attached_to(&table, &counters)`.
+  [[nodiscard]] ChunkNum pick_fast(const BlockTable& table,
+                                   const AccessCounterTable& counters,
+                                   const VictimQuery& q) const;
+
   EvictionIndex index_;
   EvictionKind kind_;
   std::uint64_t granularity_;

@@ -13,17 +13,17 @@
 //   protect-window "busy" region a suffix of the list.
 // * Per-chunk running frequency aggregates: the sum of access-counter count
 //   fields over the chunk's device-resident blocks — exactly
-//   LfuEviction::chunk_frequency, maintained by counter increment deltas and
-//   residency transitions instead of a per-candidate range_count sweep.
+//   reference_chunk_frequency (check/audit.hpp), maintained by counter
+//   increment deltas and residency transitions instead of a per-candidate
+//   range_count sweep.
 //   Global counter halvings rescale every register at once, so they mark the
 //   aggregates stale; the next read rebuilds them in one pass (halvings are
 //   saturation events, i.e. rare).
 //
-// The index attaches to exactly one (BlockTable, AccessCounterTable) pair.
-// EvictionManager uses the fast path only when the structures it is queried
-// with are the attached ones; anything else (hand-built test tables) falls
-// back to the reference scan, which also remains the cross-validation oracle
-// the InvariantAuditor checks this index against under --audit.
+// The index attaches to exactly one (BlockTable, AccessCounterTable) pair,
+// and EvictionManager refuses queries against any other. The reference scan
+// in check/audit.hpp is the oracle the InvariantAuditor checks this index
+// against under --audit.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@ class EvictionIndex {
   /// pointed at this object by EvictionManager::attach_index.
   void attach(const BlockTable* table, const AccessCounterTable* counters);
 
-  [[nodiscard]] bool attached() const noexcept { return table_ != nullptr; }
   [[nodiscard]] bool attached_to(const BlockTable* table,
                                  const AccessCounterTable* counters) const noexcept {
     return table_ != nullptr && table_ == table && counters_ == counters;

@@ -1,13 +1,13 @@
-// Per-interval time-series recorder over the metric registry: where Timeline
-// snapshots a fixed handful of driver numbers, MetricsRecorder snapshots
-// *every* registered SimStats metric (obs/metrics.def) plus the device
-// occupancy gauges, so a new metric shows up in the time series without any
-// recorder change.
+// Per-interval time-series recorder over the metric registry — the
+// simulator's one periodic sampler. It snapshots *every* registered SimStats
+// metric (obs/metrics.def) plus the device occupancy gauges, so a new metric
+// shows up in the time series without any recorder change.
 //
 // Sampling is driven by Simulator::run (RunOptions::metrics): samples land at
 // absolute multiples of the sampling interval — a shared clock — so the
 // series of every entry in a run_batch() align row-by-row and can be compared
-// or aggregated without resampling.
+// or aggregated without resampling. The sampler only observes: it schedules
+// no events, so an observed run's SimStats equal the unobserved run's.
 #pragma once
 
 #include <array>

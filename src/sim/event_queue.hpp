@@ -7,7 +7,7 @@
 // (`when - now < kWheelSpan`, which covers warp gaps, DRAM/PCIe latencies
 // and the fault-batch window — the overwhelming majority) are appended to a
 // per-cycle bucket in O(1); only far events (the 45 us far-fault service
-// delay, coarse timeline samples) reach the heap. Because the global
+// delay) reach the heap. Because the global
 // sequence counter is monotone, a bucket is sorted by construction, so pop
 // is "merge heap top with the front of the earliest non-empty bucket" —
 // strict (when, seq) order is preserved exactly and replay stays
@@ -222,6 +222,13 @@ class EventQueue {
   std::uint64_t run_bounded(std::uint64_t max_events);
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
+  /// Cycle the next step() will advance the clock to; kNeverCycle when the
+  /// queue is empty. Lets an observer act on the clock between events
+  /// without scheduling any of its own.
+  [[nodiscard]] Cycle next_event_cycle() const noexcept {
+    if (heap_.empty()) return wheel_next_;
+    return wheel_next_ < heap_.front().when ? wheel_next_ : heap_.front().when;
+  }
   [[nodiscard]] bool empty() const noexcept { return wheel_count_ == 0 && heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size() + wheel_count_; }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }

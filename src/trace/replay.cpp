@@ -99,24 +99,6 @@ RecordedTrace RecordedTrace::load(std::istream& is) {
   return t;
 }
 
-void TraceRecorder::capture_layout(const AddressSpace& space) {
-  trace_.allocations.clear();
-  for (const Allocation& a : space.allocations()) {
-    trace_.allocations.emplace_back(a.name, a.user_size);
-  }
-}
-
-void TraceRecorder::on_access(Cycle /*now*/, VirtAddr addr, AccessType type,
-                              std::uint32_t count, bool /*device_resident*/) {
-  if (trace_.launches.empty()) trace_.launches.push_back({"<implicit>", {}});
-  trace_.launches.back().records.push_back(
-      TraceRecord{addr, static_cast<std::uint16_t>(count), type, gap_});
-}
-
-void TraceRecorder::on_kernel_begin(std::uint32_t /*launch_index*/, const std::string& name) {
-  trace_.launches.push_back({name, {}});
-}
-
 namespace {
 
 class ReplayKernel final : public Kernel {

@@ -1,7 +1,8 @@
-// Trace record / replay: capture the exact access stream of a simulation
-// (including allocation layout and kernel boundaries) to a file, and replay
-// it later as a Workload. Replaying the same trace under different driver
-// configurations gives policy comparisons on literally identical inputs.
+// Legacy UVMTRC1 traces: RecordedTrace (allocation layout plus per-launch
+// access records), its file format, and TraceWorkload, which replays it.
+// Replaying one trace under different driver configurations compares
+// policies on literally identical inputs. Runs are recorded with TraceWriter
+// (trace/trace_binary.hpp); read_trb_as_recorded converts to this form.
 //
 // Binary format (little-endian, version 1):
 //   magic "UVMTRC1\0"
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace.hpp"
 #include "workloads/workload.hpp"
 
 namespace uvmsim {
@@ -43,31 +43,6 @@ struct RecordedTrace {
   [[nodiscard]] static RecordedTrace load(std::istream& is);  ///< throws on bad input
 };
 
-/// Sink that captures every access plus the kernel boundaries. Register the
-/// allocation layout once via capture_layout() before/after the run.
-class TraceRecorder final : public TraceSink {
- public:
-  void capture_layout(const AddressSpace& space);
-
-  void on_access(Cycle now, VirtAddr addr, AccessType type, std::uint32_t count,
-                 bool device_resident) override;
-  void on_kernel_begin(std::uint32_t launch_index, const std::string& name) override;
-  /// The simulator reports the built layout through the sink now, so a
-  /// recording run no longer needs the explicit capture_layout() call.
-  void on_layout(const AddressSpace& space) override { capture_layout(space); }
-
-  [[nodiscard]] const RecordedTrace& trace() const noexcept { return trace_; }
-  [[nodiscard]] RecordedTrace take() && noexcept { return std::move(trace_); }
-
-  /// Fixed inter-access gap stamped on recorded accesses (the original gaps
-  /// are not observable at the sink; a constant is adequate for replay).
-  void set_replay_gap(std::uint16_t gap) noexcept { gap_ = gap; }
-
- private:
-  RecordedTrace trace_;
-  std::uint16_t gap_ = 0;
-};
-
 /// Workload replaying a recorded trace: identical allocation layout, one
 /// kernel launch per recorded launch, accesses in recorded order chunked
 /// into tasks. NOTE: replay order across warps is not bit-identical to the
@@ -81,8 +56,6 @@ class TraceWorkload final : public Workload {
   [[nodiscard]] bool irregular() const override { return false; }
   void build(AddressSpace& space) override;
   [[nodiscard]] std::vector<std::shared_ptr<const Kernel>> schedule() const override;
-
-  [[nodiscard]] const RecordedTrace& trace() const noexcept { return trace_; }
 
  private:
   RecordedTrace trace_;

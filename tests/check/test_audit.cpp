@@ -39,6 +39,7 @@ class AuditTest : public ::testing::Test {
     counters_ = std::make_unique<AccessCounterTable>(
         div_ceil(space_.span_end(), kBasicBlockSize), 16);
     eviction_ = std::make_unique<EvictionManager>(EvictionKind::kLru, kLargePageSize);
+    eviction_->attach_index(*table_, *counters_);
     policy_cfg_.policy = PolicyKind::kAdaptive;
     policy_ = make_policy(policy_cfg_);
   }

@@ -15,6 +15,9 @@
 // chunk_splinters, chunk_coalesced_evictions — all zero here because
 // mem.coalescing defaults off, docs/GRANULARITY.md); the v2 columns were
 // again verified byte-identical before re-recording.
+//
+// The metrics variant attaches a MetricsRecorder to every entry, the way
+// `uvmsim-sweep --metrics-dir` does: observation must not move any number.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -40,11 +43,21 @@ std::string read_golden() {
   return buf.str();
 }
 
-std::string run_sweep_csv(unsigned jobs) {
+std::string run_sweep_csv(unsigned jobs, bool with_metrics = false) {
   const std::vector<RunRequest> grid = tools::build_sweep_grid(kScale);
   BatchOptions opts;
   opts.jobs = jobs;
+  std::vector<obs::MetricsRecorder> recorders(grid.size());
+  if (with_metrics) {
+    opts.make_options = [&recorders](const RunRequest&, std::size_t index) {
+      RunOptions ro;
+      ro.metrics = &recorders[index];
+      return ro;
+    };
+  }
   const BatchResult batch = run_batch(grid, opts);
+  for (const obs::MetricsRecorder& rec : recorders)
+    EXPECT_EQ(rec.samples().empty(), !with_metrics);
   EXPECT_TRUE(batch.all_ok()) << batch.failed << " of " << batch.entries.size()
                               << " runs failed";
   std::ostringstream out;
@@ -68,6 +81,14 @@ TEST(SweepGolden, ParallelJobsMatchPreOverhaulCapture) {
   const std::string golden = read_golden();
   ASSERT_FALSE(golden.empty());
   const std::string fresh = run_sweep_csv(2);
+  ASSERT_EQ(fresh.size(), golden.size()) << "CSV length diverged from golden";
+  EXPECT_TRUE(fresh == golden) << "CSV bytes diverged from golden capture";
+}
+
+TEST(SweepGolden, MetricsRecorderLeavesCaptureUnchanged) {
+  const std::string golden = read_golden();
+  ASSERT_FALSE(golden.empty());
+  const std::string fresh = run_sweep_csv(2, /*with_metrics=*/true);
   ASSERT_EQ(fresh.size(), golden.size()) << "CSV length diverged from golden";
   EXPECT_TRUE(fresh == golden) << "CSV bytes diverged from golden capture";
 }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "check/audit.hpp"
 #include "sim/rng.hpp"
 
 namespace uvmsim {
@@ -89,7 +90,7 @@ class IndexHarness {
     const VictimQuery q = random_query();
     const std::vector<BlockNum> fast = manager_->select_victims(*table_, *counters_, q);
     const std::vector<BlockNum> ref =
-        manager_->select_victims_reference(*table_, *counters_, q);
+        select_victims_reference(*manager_, *table_, *counters_, q);
     ASSERT_EQ(fast, ref) << "victim divergence at step " << steps_ << ", now=" << now_;
     for (const BlockNum v : fast) {
       table_->mark_evicted(v);
@@ -105,7 +106,7 @@ class IndexHarness {
         for (const bool has_fc : {false, true}) {
           const VictimQuery q{fc, has_fc, now_, window};
           EXPECT_EQ(manager_->select_victims(*table_, *counters_, q),
-                    manager_->select_victims_reference(*table_, *counters_, q))
+                    select_victims_reference(*manager_, *table_, *counters_, q))
               << "window=" << window << " faulting=" << (has_fc ? fc : kNilChunk)
               << " now=" << now_;
         }
@@ -122,7 +123,7 @@ class IndexHarness {
       ASSERT_EQ(idx.in_list(c), table_->chunk(c).resident_blocks > 0) << "chunk " << c;
       if (!idx.in_list(c)) continue;
       ++listed;
-      EXPECT_EQ(idx.frequency(c), LfuEviction::chunk_frequency(c, *table_, *counters_))
+      EXPECT_EQ(idx.frequency(c), reference_chunk_frequency(c, *table_, *counters_))
           << "chunk " << c;
       std::vector<BlockNum> visited;
       table_->for_each_resident_block(c, [&](BlockNum b) { visited.push_back(b); });
@@ -210,7 +211,7 @@ TEST(EvictionIndexParity, HalvingMarksAggregatesStaleThenRebuilds) {
   EXPECT_TRUE(h.manager().index().frequencies_stale());
   // The lazy rebuild must land on the reference recomputation.
   EXPECT_EQ(h.manager().index().frequency(0),
-            LfuEviction::chunk_frequency(0, table, h.counters()));
+            reference_chunk_frequency(0, table, h.counters()));
   EXPECT_FALSE(h.manager().index().frequencies_stale());
   h.check_parity();
 }
@@ -246,13 +247,13 @@ TEST(EvictionIndexParity, HalveThenImmediateSelectUsesRebuiltAggregates) {
   // 3 and 2 both halve to 1: the tie now falls to recency, which chunk 0
   // (older) loses. Stale aggregates would still name chunk 1.
   const auto fast = h.manager().select_victims(table, h.counters(), q);
-  const auto ref = h.manager().select_victims_reference(table, h.counters(), q);
+  const auto ref = select_victims_reference(h.manager(), table, h.counters(), q);
   ASSERT_FALSE(fast.empty());
   EXPECT_EQ(fast, ref);
   EXPECT_EQ(chunk_of_block(fast.front()), 0u);
   for (ChunkNum c : {ChunkNum{0}, ChunkNum{1}}) {
     EXPECT_EQ(h.manager().index().frequency(c),
-              LfuEviction::chunk_frequency(c, table, h.counters()))
+              reference_chunk_frequency(c, table, h.counters()))
         << "chunk " << c;
   }
   h.check_parity();
@@ -277,7 +278,7 @@ TEST(EvictionIndexParity, WrittenEverTieBreakMatchesReference) {
   const auto fast = h.manager().select_victims(table, h.counters(), q);
   ASSERT_FALSE(fast.empty());
   EXPECT_EQ(chunk_of_block(fast.front()), 1u);
-  EXPECT_EQ(fast, h.manager().select_victims_reference(table, h.counters(), q));
+  EXPECT_EQ(fast, select_victims_reference(h.manager(), table, h.counters(), q));
 }
 
 TEST(EvictionIndexParity, ProtectWindowBusySuffixMatchesReference) {
@@ -297,33 +298,17 @@ TEST(EvictionIndexParity, ProtectWindowBusySuffixMatchesReference) {
   const auto fast = h.manager().select_victims(table, h.counters(), protected_q);
   ASSERT_FALSE(fast.empty());
   EXPECT_EQ(chunk_of_block(fast.front()), 0u);
-  EXPECT_EQ(fast, h.manager().select_victims_reference(table, h.counters(), protected_q));
+  EXPECT_EQ(fast, select_victims_reference(h.manager(), table, h.counters(), protected_q));
 
   // Evict chunk 0 entirely: only busy chunks remain, and the busy-fallback
   // pick must still match the reference (lowest last_access, then chunk id).
   for (const BlockNum v : fast) table.mark_evicted(v);
   const auto busy_fast = h.manager().select_victims(table, h.counters(), protected_q);
   const auto busy_ref =
-      h.manager().select_victims_reference(table, h.counters(), protected_q);
+      select_victims_reference(h.manager(), table, h.counters(), protected_q);
   ASSERT_FALSE(busy_fast.empty());
   EXPECT_EQ(busy_fast, busy_ref);
   EXPECT_EQ(chunk_of_block(busy_fast.front()), 1u);
-}
-
-TEST(EvictionIndexParity, DetachedManagerStillUsesReferenceScan) {
-  // No attach_index: hand-built tables keep working through the fallback.
-  AddressSpace space;
-  space.allocate("a", 2 * kLargePageSize);
-  BlockTable table(space);
-  AccessCounterTable counters(64, 16);
-  EvictionManager mgr(EvictionKind::kLru, kLargePageSize);
-  EXPECT_FALSE(mgr.index().attached());
-  for (BlockNum b = 0; b < kBlocksPerLargePage; ++b) {
-    table.mark_in_flight(b);
-    table.mark_resident(b, 5);
-  }
-  const auto victims = mgr.select_victims(table, counters, VictimQuery{0, false, 10, 0});
-  EXPECT_EQ(victims.size(), kBlocksPerLargePage);
 }
 
 }  // namespace

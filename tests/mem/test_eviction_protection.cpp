@@ -13,6 +13,7 @@ class ProtectionTest : public ::testing::Test {
   ProtectionTest() : counters_(128, 16) {
     space_.allocate("a", 4 * kLargePageSize);
     table_ = std::make_unique<BlockTable>(space_);
+    mgr_.attach_index(*table_, counters_);
   }
 
   void fill_chunk(ChunkNum c, Cycle accessed_at) {

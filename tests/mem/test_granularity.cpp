@@ -187,7 +187,7 @@ TEST(Granularity, CoalescedVictimEvictsAtomicallyAt64kGranularity) {
   ASSERT_TRUE(rig.table->try_coalesce(0));
   const VictimQuery q{2, true, 100, 0};
   const auto fast = rig.mgr->select_victims(*rig.table, *rig.counters, q);
-  const auto ref = rig.mgr->select_victims_reference(*rig.table, *rig.counters, q);
+  const auto ref = select_victims_reference(*rig.mgr, *rig.table, *rig.counters, q);
   EXPECT_EQ(fast, ref);
   ASSERT_EQ(fast.size(), kBlocksPerLargePage) << "atomic whole-chunk emission";
   for (const BlockNum v : fast) EXPECT_EQ(chunk_of_block(v), 0u);
@@ -202,7 +202,7 @@ TEST(Granularity, SplinterOnEvictKeepsPerBlockEmission) {
   ASSERT_TRUE(rig.table->try_coalesce(0));
   const VictimQuery q{2, true, 100, 0};
   const auto fast = rig.mgr->select_victims(*rig.table, *rig.counters, q);
-  EXPECT_EQ(fast, rig.mgr->select_victims_reference(*rig.table, *rig.counters, q));
+  EXPECT_EQ(fast, select_victims_reference(*rig.mgr, *rig.table, *rig.counters, q));
   ASSERT_EQ(fast.size(), 1u) << "per-block emission preserved";
   EXPECT_EQ(chunk_of_block(fast.front()), 0u);
 }
@@ -262,7 +262,7 @@ TEST(Granularity, RandomizedCoalesceChurnKeepsIndexParity) {
         default: {  // one full driver-style eviction round
           const VictimQuery q{c, true, now, 0};
           const auto fast = rig.mgr->select_victims(t, *rig.counters, q);
-          const auto ref = rig.mgr->select_victims_reference(t, *rig.counters, q);
+          const auto ref = select_victims_reference(*rig.mgr, t, *rig.counters, q);
           ASSERT_EQ(fast, ref) << "step " << step;
           if (fast.empty()) break;
           const ChunkNum vc = chunk_of_block(fast.front());

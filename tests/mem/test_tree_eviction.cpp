@@ -65,6 +65,7 @@ TEST_F(TreeEvictionTest, FullyResidentChunkEvictsWholeLargePage) {
 TEST_F(TreeEvictionTest, ManagerUsesSubtreeGranularity) {
   for (BlockNum b = 0; b < 8; ++b) residency(b, b == 6 ? 1 : 100);
   EvictionManager mgr(EvictionKind::kTree, kLargePageSize);
+  mgr.attach_index(*table_, counters_);
   const auto victims = mgr.select_victims(*table_, counters_, VictimQuery{});
   // LRU block 6: pair {6,7} full, quad {4..7} full, {0..7} full -> 8 blocks.
   EXPECT_EQ(victims.size(), 8u);

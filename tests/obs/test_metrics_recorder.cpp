@@ -1,7 +1,8 @@
 // MetricsRecorder: registry-complete time series on the shared clock. The
-// load-bearing property is alignment — samples land at absolute multiples of
-// the interval, so every entry of a run_batch() produces row-comparable
-// series without resampling.
+// load-bearing properties are alignment — samples land at absolute multiples
+// of the interval, so every entry of a run_batch() produces row-comparable
+// series without resampling — and purity: attaching a recorder leaves the
+// run's SimStats bit-identical.
 #include "obs/metrics_recorder.hpp"
 
 #include <gtest/gtest.h>
@@ -33,6 +34,15 @@ TEST(MetricsRecorder, CapturesEveryRegisteredMetric) {
   EXPECT_DOUBLE_EQ(sample.occupancy(), 0.25);
   i = 0;
   for (std::size_t m = 0; m < obs::kMetricCount; ++m) EXPECT_EQ(sample.values[m], ++i);
+}
+
+TEST(MetricsRecorder, OccupancyComputation) {
+  obs::MetricsRecorder::Sample s;
+  s.used_blocks = 16;
+  s.capacity_blocks = 32;
+  EXPECT_DOUBLE_EQ(s.occupancy(), 0.5);
+  s.capacity_blocks = 0;
+  EXPECT_DOUBLE_EQ(s.occupancy(), 0.0);
 }
 
 TEST(MetricsRecorder, CsvHeaderComesFromTheRegistry) {
@@ -124,6 +134,82 @@ TEST(MetricsRecorder, SimulatorSamplesOnAbsoluteIntervalMultiples) {
     EXPECT_LE(rec.samples().back().values[m],
               obs::value(r.stats, obs::metrics()[m]))
         << obs::metrics()[m].name;
+  }
+}
+
+TEST(MetricsRecorder, SimulatorSamplesPeriodically) {
+  WorkloadParams params;
+  params.scale = 0.05;
+  SimConfig cfg;
+  cfg.gpu.num_sms = 4;
+  cfg.gpu.warps_per_sm = 2;
+
+  auto wl = make_workload("fdtd", params);
+  obs::MetricsRecorder rec;
+  Simulator sim(cfg);
+  RunOptions opts;
+  opts.metrics = &rec;
+  opts.metrics_interval = 50000;
+  const RunResult r = sim.run(*wl, opts);
+
+  ASSERT_GT(rec.samples().size(), 2u);
+  // One row per boundary from cycle 0 on: none skipped, none repeated.
+  EXPECT_EQ(rec.samples().front().cycle, 0u);
+  for (std::size_t i = 1; i < rec.samples().size(); ++i) {
+    EXPECT_EQ(rec.samples()[i].cycle - rec.samples()[i - 1].cycle, 50000u)
+        << "boundary skipped before index " << i;
+  }
+  // The last row is the drained state at the first boundary past the last
+  // event; occupancy by then reflects the migrated working set.
+  EXPECT_GT(rec.samples().back().cycle, r.stats.total_cycles);
+  EXPECT_LE(rec.samples().back().cycle - 50000, r.stats.total_cycles);
+  EXPECT_GT(rec.samples().back().used_blocks, 0u);
+}
+
+TEST(MetricsRecorder, ShowsMemoryFillingUp) {
+  WorkloadParams params;
+  params.scale = 0.05;
+  SimConfig cfg;
+  cfg.gpu.num_sms = 4;
+  cfg.gpu.warps_per_sm = 2;
+  cfg.mem.oversubscription = 1.25;
+
+  auto wl = make_workload("ra", params);
+  obs::MetricsRecorder rec;
+  Simulator sim(cfg);
+  RunOptions opts;
+  opts.metrics = &rec;
+  opts.metrics_interval = 50000;
+  (void)sim.run(*wl, opts);
+
+  ASSERT_GT(rec.samples().size(), 2u);
+  EXPECT_LT(rec.samples().front().occupancy(), 0.5);
+  EXPECT_GT(rec.samples().back().occupancy(), 0.9);  // full under pressure
+}
+
+// The sampler observes without side effects: the same oversubscribed run
+// with and without a recorder ends with bit-identical SimStats, down to
+// total_cycles (a sampler that queued its own events would move it).
+TEST(MetricsRecorder, LeavesStatsBitIdentical) {
+  WorkloadParams params;
+  params.scale = 0.05;
+  SimConfig cfg;
+  cfg.mem.oversubscription = 1.25;
+  cfg.mem.eviction = EvictionKind::kLfu;
+  cfg.policy.policy = PolicyKind::kAdaptive;
+
+  for (const Cycle interval : {Cycle{1000}, Cycle{100000}, Cycle{1} << 40}) {
+    SCOPED_TRACE(interval);
+    const RunResult plain = Simulator(cfg).run(*make_workload("bfs", params));
+    obs::MetricsRecorder rec;
+    RunOptions opts;
+    opts.metrics = &rec;
+    opts.metrics_interval = interval;
+    const RunResult observed = Simulator(cfg).run(*make_workload("bfs", params), opts);
+    EXPECT_TRUE(observed.stats == plain.stats)
+        << "total_cycles " << observed.stats.total_cycles << " vs "
+        << plain.stats.total_cycles;
+    EXPECT_FALSE(rec.samples().empty());
   }
 }
 

@@ -19,6 +19,7 @@ TEST(EventQueue, StartsEmptyAtCycleZero) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.now(), 0u);
   EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.next_event_cycle(), kNeverCycle);
   EXPECT_FALSE(q.step());
 }
 
@@ -260,7 +261,12 @@ TEST(EventQueueProperty, TimingWheelMatchesHeapPopOrder) {
   h.stepper = h.q.register_warp_stepper(&WheelPropertyHarness::step_thunk, &h);
   h.budget = 20000;
   for (int i = 0; i < 64 && h.budget > 0; ++i) h.schedule_random();
-  h.q.run();
+  // Step by hand so every pop also checks the peek against the clock.
+  while (!h.q.empty()) {
+    const Cycle next = h.q.next_event_cycle();
+    ASSERT_TRUE(h.q.step());
+    ASSERT_EQ(h.q.now(), next);
+  }
 
   ASSERT_EQ(h.fired.size(), h.next_seq);
   for (std::size_t i = 0; i < h.fired.size(); ++i) {

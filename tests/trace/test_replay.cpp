@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/simulator.hpp"
+#include "sim/config_parse.hpp"
+#include "trace/trace_binary.hpp"
 
 namespace uvmsim {
 namespace {
@@ -54,29 +59,6 @@ TEST(RecordedTrace, RejectsTruncatedInput) {
   EXPECT_THROW(RecordedTrace::load(cut), std::runtime_error);
 }
 
-TEST(TraceRecorder, CapturesLayoutAndAccesses) {
-  AddressSpace space;
-  space.allocate("x", kLargePageSize);
-  TraceRecorder rec;
-  rec.capture_layout(space);
-  rec.on_kernel_begin(0, "k");
-  rec.on_access(100, 64, AccessType::kRead, 2, true);
-  rec.on_access(200, 128, AccessType::kWrite, 1, false);
-
-  const RecordedTrace& t = rec.trace();
-  ASSERT_EQ(t.allocations.size(), 1u);
-  EXPECT_EQ(t.allocations[0].first, "x");
-  ASSERT_EQ(t.launches.size(), 1u);
-  EXPECT_EQ(t.launches[0].records.size(), 2u);
-}
-
-TEST(TraceRecorder, AccessBeforeKernelGetsImplicitLaunch) {
-  TraceRecorder rec;
-  rec.on_access(1, 0, AccessType::kRead, 1, true);
-  ASSERT_EQ(rec.trace().launches.size(), 1u);
-  EXPECT_EQ(rec.trace().launches[0].kernel, "<implicit>");
-}
-
 TEST(TraceWorkload, ReplaysRecordedAccesses) {
   TraceWorkload wl(tiny_trace());
   AddressSpace space;
@@ -99,6 +81,26 @@ TEST(TraceWorkload, EmptyTraceThrows) {
   EXPECT_THROW(wl.build(space), std::invalid_argument);
 }
 
+/// Record `wl` under `cfg` through TraceWriter into `path`, then load the
+/// capture back through read_trb_as_recorded — the path `uvmsim-fuzz
+/// --trace` takes. Removes the file.
+RecordedTrace record_and_load(Workload& wl, const SimConfig& cfg, const std::string& path,
+                              RunResult& recorded) {
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    TraceWriter writer(os, {wl.name(), 0, config_digest(cfg)});
+    SimConfig record_cfg = cfg;
+    record_cfg.collect_traces = true;
+    RunOptions opts;
+    opts.trace_sink = &writer;
+    recorded = Simulator(record_cfg).run(wl, opts);
+    writer.finalize();
+  }
+  RecordedTrace trace = read_trb_as_recorded(path);
+  std::remove(path.c_str());
+  return trace;
+}
+
 // End-to-end: record a real workload, replay it, and compare access totals.
 TEST(RecordReplay, EndToEndRoundTrip) {
   WorkloadParams params;
@@ -106,29 +108,13 @@ TEST(RecordReplay, EndToEndRoundTrip) {
   SimConfig cfg;
   cfg.gpu.num_sms = 4;
   cfg.gpu.warps_per_sm = 2;
-  cfg.collect_traces = true;
 
-  // Record.
   auto original = make_workload("fdtd", params);
-  AddressSpace sizing;
-  make_workload("fdtd", params)->build(sizing);
-  TraceRecorder rec;
-  rec.capture_layout(sizing);
-  Simulator record_sim(cfg);
-  RunOptions rec_opts;
-  rec_opts.trace_sink = &rec;
-  const RunResult recorded = record_sim.run(*original, rec_opts);
-
-  // Serialize + reload.
-  std::stringstream ss;
-  rec.trace().save(ss);
-  TraceWorkload replay(RecordedTrace::load(ss));
+  RunResult recorded;
+  TraceWorkload replay(record_and_load(*original, cfg, "replay_e2e.trb", recorded));
 
   // Replay under the same configuration.
-  SimConfig replay_cfg = cfg;
-  replay_cfg.collect_traces = false;
-  Simulator replay_sim(replay_cfg);
-  const RunResult replayed = replay_sim.run(replay);
+  const RunResult replayed = Simulator(cfg).run(replay);
 
   EXPECT_EQ(replayed.stats.total_accesses, recorded.stats.total_accesses);
   EXPECT_EQ(replayed.footprint_bytes, recorded.footprint_bytes);
@@ -141,29 +127,20 @@ TEST(RecordReplay, ReplayUnderDifferentPolicies) {
   SimConfig cfg;
   cfg.gpu.num_sms = 4;
   cfg.gpu.warps_per_sm = 2;
-  cfg.collect_traces = true;
   cfg.mem.oversubscription = 1.25;
 
   auto original = make_workload("ra", params);
-  AddressSpace sizing;
-  make_workload("ra", params)->build(sizing);
-  TraceRecorder rec;
-  rec.capture_layout(sizing);
-  Simulator record_sim(cfg);
-  RunOptions rec_opts;
-  rec_opts.trace_sink = &rec;
-  (void)record_sim.run(*original, rec_opts);
+  RunResult recorded;
+  const RecordedTrace trace = record_and_load(*original, cfg, "replay_policies.trb", recorded);
 
   // The same trace, two different drivers.
-  TraceWorkload replay1(rec.trace());
-  TraceWorkload replay2(rec.trace());
-  SimConfig base = cfg;
-  base.collect_traces = false;
-  SimConfig adaptive = base;
+  TraceWorkload replay1(trace);
+  TraceWorkload replay2(trace);
+  SimConfig adaptive = cfg;
   adaptive.policy.policy = PolicyKind::kAdaptive;
   adaptive.mem.eviction = EvictionKind::kLfu;
 
-  const RunResult rb = Simulator(base).run(replay1);
+  const RunResult rb = Simulator(cfg).run(replay1);
   const RunResult ra_ = Simulator(adaptive).run(replay2);
   EXPECT_EQ(rb.stats.total_accesses, ra_.stats.total_accesses);
   EXPECT_LT(ra_.stats.pages_thrashed, rb.stats.pages_thrashed);

@@ -5,7 +5,7 @@
 //   uvmsim --workload fdtd --policy baseline --scale 0.5 --eviction lru
 //   uvmsim --workload bfs --record bfs.trb        # capture the task trace
 //   uvmsim --replay bfs.trb --policy adaptive     # re-drive it elsewhere
-//   uvmsim --workload ra --oversub 1.25 --timeline ra_timeline.csv
+//   uvmsim --workload ra --oversub 1.25 --metrics ra_metrics.csv
 //   uvmsim --list
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +45,6 @@ void usage() {
       "                     replays byte-identically, see docs/TRACES.md)\n"
       "  --replay FILE      replay a captured trace instead of a workload\n"
       "                     (UVMTRB1 or legacy UVMTRC1, sniffed by magic)\n"
-      "  --timeline FILE    write periodic occupancy/traffic samples to FILE\n"
       "  --metrics FILE     write the per-interval time series of every\n"
       "                     registered metric (delta + cumulative) to FILE\n"
       "  --metrics-interval N  metrics sampling interval in cycles (default 100000)\n"
@@ -81,7 +80,7 @@ int main(int argc, char** argv) {
   double oversub = 0.0;
   bool eviction_set = false;
   bool show_config = false;
-  std::string record_path, replay_path, timeline_path;
+  std::string record_path, replay_path;
   std::string metrics_path, chrome_trace_path;
   Cycle metrics_interval = 100000;
   bool json_output = false;
@@ -186,8 +185,6 @@ int main(int argc, char** argv) {
       record_path = next();
     } else if (arg == "--replay") {
       replay_path = next();
-    } else if (arg == "--timeline") {
-      timeline_path = next();
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else if (arg == "--metrics-interval") {
@@ -275,7 +272,6 @@ int main(int argc, char** argv) {
       wl = make_workload(workload, params);
     }
 
-    Timeline timeline;
     obs::MetricsRecorder metrics;
     std::ofstream record_out;
     std::unique_ptr<TraceWriter> writer;
@@ -312,7 +308,6 @@ int main(int argc, char** argv) {
     Simulator sim(cfg);
     RunOptions opts;
     opts.trace_sink = sink;
-    if (!timeline_path.empty()) opts.timeline = &timeline;
     if (!metrics_path.empty()) {
       opts.metrics = &metrics;
       opts.metrics_interval = metrics_interval;
@@ -326,37 +321,36 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: short write to %s\n", record_path.c_str());
         return 1;
       }
-      // Keep --json stdout pure JSON (scripts cmp record vs replay output).
-      if (!json_output) {
-        std::printf("trace:      %llu records in %llu tasks -> %s\n",
-                    static_cast<unsigned long long>(writer->records_written()),
-                    static_cast<unsigned long long>(writer->tasks_written()),
-                    record_path.c_str());
-      }
-    }
-    if (!timeline_path.empty()) {
-      std::ofstream out(timeline_path);
-      timeline.write_csv(out);
-      std::printf("timeline:   %zu samples -> %s\n", timeline.samples().size(),
-                  timeline_path.c_str());
     }
     if (!metrics_path.empty()) {
       std::ofstream out(metrics_path);
       metrics.write_csv(out);
-      std::printf("metrics:    %zu samples -> %s\n", metrics.samples().size(),
-                  metrics_path.c_str());
     }
     if (!chrome_trace_path.empty()) {
       std::ofstream out(chrome_trace_path);
       chrome.write(out);
-      std::printf("chrome:     %zu events -> %s (chrome://tracing, ui.perfetto.dev)\n",
-                  chrome.event_count(), chrome_trace_path.c_str());
     }
     if (json_output) {
+      // Pure JSON on stdout, no file notices: scripts cmp record vs replay
+      // output and parse it.
       std::ostringstream os;
       write_run_json(os, workload, cfg, oversub, r);
       std::printf("%s", os.str().c_str());
       return 0;
+    }
+    if (writer) {
+      std::printf("trace:      %llu records in %llu tasks -> %s\n",
+                  static_cast<unsigned long long>(writer->records_written()),
+                  static_cast<unsigned long long>(writer->tasks_written()),
+                  record_path.c_str());
+    }
+    if (!metrics_path.empty()) {
+      std::printf("metrics:    %zu samples -> %s\n", metrics.samples().size(),
+                  metrics_path.c_str());
+    }
+    if (!chrome_trace_path.empty()) {
+      std::printf("chrome:     %zu events -> %s (chrome://tracing, ui.perfetto.dev)\n",
+                  chrome.event_count(), chrome_trace_path.c_str());
     }
     std::printf("workload:   %s (scale %.2f, footprint %.1f MB, capacity %.1f MB)\n",
                 workload.c_str(), params.scale,
