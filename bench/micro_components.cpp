@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: event
-// queue scheduling, access-counter updates, tree-prefetcher expansion, PCIe
-// channel arbitration, eviction victim selection, and a small end-to-end
-// simulation as a macro sanity point.
+// queue scheduling, the warp-step ring, access-counter updates,
+// tree-prefetcher expansion, PCIe channel arbitration, eviction victim
+// selection, and a small end-to-end simulation as a macro sanity point.
 #include <benchmark/benchmark.h>
 
 #include <uvmsim/uvmsim.hpp>
@@ -24,6 +24,36 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
+
+/// The GPU model's steady state on the event queue: 112 warps (28 SMs x 4)
+/// on one registered stepper, each stepping again `gap` cycles after its
+/// last step. Starts are spread evenly over one gap, so each pop finds the
+/// next warp a short occupancy-bitmap scan away.
+struct WarpRing {
+  EventQueue q;
+  std::uint32_t stepper = 0;
+  Cycle gap = 0;
+
+  static void step(void* self, WarpId w) {
+    auto* ring = static_cast<WarpRing*>(self);
+    ring->q.schedule_warp_in(ring->gap, ring->stepper, w);
+  }
+};
+
+void BM_WarpStepRing(benchmark::State& state) {
+  constexpr std::uint32_t kWarps = 112;
+  WarpRing ring;
+  ring.gap = static_cast<Cycle>(state.range(0));
+  ring.stepper = ring.q.register_warp_stepper(&WarpRing::step, &ring);
+  for (WarpId w = 0; w < kWarps; ++w) {
+    ring.q.schedule_warp_at(w * ring.gap / kWarps, ring.stepper, w);
+  }
+  for (auto _ : state) ring.q.step();
+  benchmark::DoNotOptimize(ring.q.executed());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+// Gap 300 is bfs/sssp's; 6500 is srad's, the largest registered gap.
+BENCHMARK(BM_WarpStepRing)->Arg(300)->Arg(6500);
 
 void BM_AccessCounterRecord(benchmark::State& state) {
   AccessCounterTable t(1024, 16);

@@ -105,7 +105,7 @@ bool EventQueue::step() {
     free_node_ = n;
     --wheel_count_;
     now_ = wheel_next_;
-    if (bucket.head == kNoSlot) {
+    if (e.next == kNoSlot) {  // popped the tail: the bucket is drained
       occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       // Everything left in the wheel is strictly later than now_ (same-cycle
       // pushes would have landed in the bucket just drained); a later push at

@@ -2,22 +2,25 @@
 // (cycle, sequence, action) events. Sequence numbers break ties so that
 // same-cycle events fire in schedule order (deterministic replay).
 //
-// Hot-path layout (see docs/PERF.md): the queue is a hierarchical timing
-// wheel over a 4-ary heap fallback. Events landing within the wheel span
-// (`when - now < kWheelSpan`, which covers warp gaps, DRAM/PCIe latencies
-// and the fault-batch window — the overwhelming majority) are appended to a
-// per-cycle bucket in O(1); only far events (the 45 us far-fault service
-// delay) reach the heap. Because the global
+// Hot-path layout (see docs/PERF.md): the queue is one timing-wheel level
+// in front of a 4-ary heap. Events landing within the wheel span
+// (`when - now < kWheelSpan`, which covers every warp step of every
+// registered workload, DRAM/PCIe latencies and the fault-batch window — the
+// overwhelming majority) are appended to a per-cycle bucket in O(1); only
+// far events (the 45 us far-fault service delay, zero-copy accesses queued
+// behind a busy PCIe link) reach the heap. Because the global
 // sequence counter is monotone, a bucket is sorted by construction, so pop
 // is "merge heap top with the front of the earliest non-empty bucket" —
 // strict (when, seq) order is preserved exactly and replay stays
 // bit-identical with the heap-only implementation.
 //
 // A bucket is a FIFO threaded through one shared node pool, so the wheel's
-// memory is a 32 KB head/tail array plus one node per event pending at
-// once: the kernel's hottest structure stays small enough that other work
-// on the core does not push it out of cache (docs/PERF.md, "Run-to-run
-// spread").
+// memory is a 64 KB head/tail array plus a 1 KB occupancy bitmap plus one
+// node per event pending at once: the kernel's hottest structure stays
+// small enough that other work on the core does not push it out of cache
+// (docs/PERF.md, "Run-to-run spread"). The bitmap is the only emptiness
+// test, so the head/tail array is never initialised: the simulator builds a
+// queue per run, and a fuzz campaign one per case.
 //
 // Two event flavours share the wheel and the heap:
 //   * actions — EventAction (small-buffer type-erased callables) in a slot
@@ -165,9 +168,12 @@ class EventQueue {
   using WarpStepFn = void (*)(void* ctx, WarpId w);
 
   /// Cycles covered by the near-future wheel; events further out go to the
-  /// heap fallback. Public so the equivalence property test can generate
-  /// delays that straddle the boundary.
-  static constexpr Cycle kWheelSpan = 4096;
+  /// heap. Sized so a warp's next step always lands on the wheel: the
+  /// largest registered gap (srad, 6500) plus the worst unqueued access
+  /// latency under the default config (517 cycles) stays below it, as
+  /// WorkloadGaps.EveryWarpStepLandsOnTheWheel checks. Public for that test
+  /// and for the equivalence property test's boundary delays.
+  static constexpr Cycle kWheelSpan = 8192;
 
   /// Schedule `act` to run at absolute cycle `when` (must be >= now(); the
   /// clock never runs backwards, so a past event could never fire).
@@ -260,11 +266,12 @@ class EventQueue {
     std::uint32_t kind;
     std::uint32_t next;  ///< next node of the same bucket (or free list)
   };
-  /// One wheel bucket: head and tail of its FIFO in nodes_. Empty while head
-  /// is kNoSlot; tail is only read while it is not.
+  /// One wheel bucket: head and tail of its FIFO in nodes_. Deliberately
+  /// left uninitialised: a bucket is empty while its occ_ bit is clear, and
+  /// head and tail are only read while it is set.
   struct Bucket {
-    std::uint32_t head = kNoSlot;
-    std::uint32_t tail = kNoSlot;
+    std::uint32_t head;
+    std::uint32_t tail;
   };
 
   /// Heap node: ordering keys inline so comparisons never touch the pool.
@@ -301,9 +308,11 @@ class EventQueue {
       }
       const std::size_t b = static_cast<std::size_t>(when) & kWheelMask;
       Bucket& bucket = buckets_[b];
-      if (bucket.head == kNoSlot) {
+      std::uint64_t& word = occ_[b >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+      if ((word & bit) == 0) {
+        word |= bit;
         bucket.head = n;
-        occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
       } else {
         nodes_[bucket.tail].next = n;
       }
@@ -324,7 +333,7 @@ class EventQueue {
   std::vector<Slot> slots_;      ///< grows to the high-water mark, then stable
   std::uint32_t free_head_ = kNoSlot;
 
-  std::array<Bucket, kWheelSpan> buckets_;
+  std::array<Bucket, kWheelSpan> buckets_;  ///< valid only where occ_ is set
   std::array<std::uint64_t, kOccWords> occ_{};  ///< bucket-occupancy bitmap
   /// Node pool shared by every bucket: grows to the high-water mark of
   /// pending in-wheel events, then recycles through the free list.

@@ -214,6 +214,7 @@ struct WheelPropertyHarness {
   std::uint32_t stepper = 0;
   std::vector<Key> fired;
   std::priority_queue<Key, std::vector<Key>, std::greater<>> model;
+  std::vector<Cycle> wheel_whens;  ///< targets the queue routes to the wheel
 
   static void step_thunk(void* self, WarpId w) {
     static_cast<WheelPropertyHarness*>(self)->on_fire(w);
@@ -248,6 +249,7 @@ struct WheelPropertyHarness {
     }
     const std::uint64_t seq = next_seq++;
     model.emplace(when, seq);
+    if (when - q.now() < EventQueue::kWheelSpan) wheel_whens.push_back(when);
     if (rng() % 2 == 0) {
       q.schedule_warp_at(when, stepper, static_cast<WarpId>(seq));
     } else {
@@ -280,6 +282,22 @@ TEST(EventQueueProperty, TimingWheelMatchesHeapPopOrder) {
   }
   EXPECT_TRUE(h.model.empty());
   EXPECT_EQ(h.q.executed(), h.next_seq);
+
+  // The trace must refill drained buckets a whole revolution later: wheel
+  // targets at two different cycles that share one bucket. A bucket's
+  // head/tail are stale once drained, so this is the case where only the
+  // occupancy bit may decide that the bucket is empty.
+  std::vector<Cycle> first(static_cast<std::size_t>(EventQueue::kWheelSpan), kNeverCycle);
+  std::uint64_t reused = 0;
+  for (const Cycle when : h.wheel_whens) {
+    Cycle& seen = first[static_cast<std::size_t>(when % EventQueue::kWheelSpan)];
+    if (seen == kNeverCycle) {
+      seen = when;
+    } else if (seen != when) {
+      ++reused;
+    }
+  }
+  EXPECT_GT(reused, 0u) << "no bucket served two cycles; the clock never lapped the wheel";
 }
 
 TEST(EventQueue, ClockDoesNotAdvancePastLastEvent) {

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "sim/config.hpp"
+#include "sim/event_queue.hpp"
 #include "workloads/workload.hpp"
 
 namespace uvmsim {
@@ -154,6 +161,47 @@ TEST(WorkloadIterations, IterationOverrideChangesScheduleLength) {
   short_run->build(s1);
   long_run->build(s2);
   EXPECT_LT(short_run->schedule().size(), long_run->schedule().size());
+}
+
+// A warp schedules its next step `gap` cycles after its access completes.
+// An access that waits on no queue completes within the worst unqueued
+// latency: a TLB miss's page walk, then either device DRAM or a zero-copy
+// round trip plus the wire time of its transactions. Every such step must
+// land on the event kernel's timing wheel; a longer gap would send every
+// step of the workload through the heap, slowing its runs without changing
+// any output.
+TEST(WorkloadGaps, EveryWarpStepLandsOnTheWheel) {
+  const SimConfig cfg;
+  WorkloadParams p;
+  p.scale = 0.05;
+  for (const std::string& name : all_generator_workload_names()) {
+    const std::unique_ptr<Workload> wl = make_workload(name, p);
+    AddressSpace space;
+    wl->build(space);
+    std::uint16_t max_gap = 0;
+    std::uint16_t max_count = 0;
+    std::set<const Kernel*> seen;
+    std::vector<Access> task;
+    for (const auto& kernel : wl->schedule()) {
+      if (!seen.insert(kernel.get()).second) continue;  // repeated launch
+      for (std::uint64_t t = 0; t < kernel->num_tasks(); ++t) {
+        task.clear();
+        kernel->gen_task(t, task);
+        for (const Access& a : task) {
+          max_gap = std::max(max_gap, a.gap);
+          max_count = std::max(max_count, a.count);
+        }
+      }
+    }
+    const double wire_bytes = static_cast<double>(max_count) *
+                              static_cast<double>(kWarpAccessBytes + cfg.xfer.remote_overhead_bytes);
+    const Cycle remote = cfg.xfer.remote_access_latency +
+                         static_cast<Cycle>(std::ceil(wire_bytes / cfg.pcie_bytes_per_cycle()));
+    const Cycle latency = cfg.gpu.page_walk_latency + std::max(cfg.gpu.dram_latency, remote);
+    EXPECT_LT(Cycle{max_gap} + latency, EventQueue::kWheelSpan)
+        << name << ": gap " << max_gap << " + unqueued latency " << latency
+        << " (count " << max_count << ")";
+  }
 }
 
 }  // namespace
