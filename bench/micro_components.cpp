@@ -1,10 +1,15 @@
-// google-benchmark microbenchmarks of the simulator's hot paths: event
-// queue scheduling, the warp-step ring, access-counter updates,
+// google-benchmark microbenchmarks of the simulator's hot paths in
+// isolation: event queue scheduling, the warp-step ring, the driver's
+// device-resident access path, the per-SM TLB, access-counter updates,
 // tree-prefetcher expansion, PCIe channel arbitration, eviction victim
 // selection, and a small end-to-end simulation as a macro sanity point.
+// End-to-end rates and per-layer times inside real runs come from
+// uvmbench/ (docs/PERF.md); these isolate one structure each.
 #include <benchmark/benchmark.h>
 
 #include <uvmsim/uvmsim.hpp>
+
+#include "gpu/tlb.hpp"
 
 namespace {
 
@@ -54,6 +59,56 @@ void BM_WarpStepRing(benchmark::State& state) {
 }
 // Gap 300 is bfs/sssp's; 6500 is srad's, the largest registered gap.
 BENCHMARK(BM_WarpStepRing)->Arg(300)->Arg(6500);
+
+/// Operations per benchmark iteration in the per-access lanes below, so the
+/// benchmark loop's own cost does not count against a few-ns operation.
+constexpr int kBatch = 1024;
+
+/// The driver's fast path: every block of a 64 MB span preloaded, then
+/// device-resident accesses, 25 % of them writes, with no faults and no
+/// observation sinks.
+void BM_DriverResidentAccess(benchmark::State& state) {
+  constexpr std::uint64_t kSpan = 64ull << 20;
+  SimConfig cfg;
+  AddressSpace space;
+  space.allocate("a", kSpan);
+  EventQueue q;
+  SimStats stats;
+  UvmDriver drv(cfg, space, 2 * kSpan, q, stats);  // no oversubscription
+  drv.preload_all([](Cycle) {});
+  q.run();
+  Rng rng(0xACCE55);
+  std::uint64_t i = 0;
+  Cycle done = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < kBatch; ++k, ++i) {
+      const VirtAddr addr = (i * 256 + rng.below(128)) % kSpan;
+      const AccessType type = rng.chance(0.25) ? AccessType::kWrite : AccessType::kRead;
+      done += drv.access(static_cast<WarpId>(i & 63), addr, type, 1, q.now() + i).done;
+    }
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
+}
+BENCHMARK(BM_DriverResidentAccess);
+
+/// The per-SM TLB's lookup-or-install at its default 64 entries, over a
+/// stream of 7 consecutive pages to 1 random jump.
+void BM_TlbAccess(benchmark::State& state) {
+  Tlb tlb(64);
+  Rng rng(0x71B);
+  std::uint64_t hits = 0;
+  PageNum p = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < kBatch; ++k) {
+      p = (k & 7) != 0 ? p + 1 : rng.below(1u << 20);
+      if (tlb.access(p, 0)) ++hits;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
+}
+BENCHMARK(BM_TlbAccess);
 
 void BM_AccessCounterRecord(benchmark::State& state) {
   AccessCounterTable t(1024, 16);

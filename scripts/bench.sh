@@ -1,106 +1,98 @@
 #!/usr/bin/env bash
-# Hot-path perf harness: runs bench/perf_hotpath (fixed seeds) from the
-# current tree and, unless skipped, from a pre-overhaul baseline checkout,
-# then writes BENCH_hotpath.json recording both runs plus the speedups —
-# the perf trajectory every future PR has to beat (docs/PERF.md).
+# A/B benchmark gate: runs uvmbench/run_benchmark.py on a parent commit and
+# on the working tree in 10 interleaved pairs per workload, alternating which
+# side runs first, then judges the pairs by the merge rule
+# (scripts/bench_verdict.py, docs/PERF.md).
 #
-#   scripts/bench.sh [--smoke] [--out FILE] [--baseline-ref REF] [--skip-baseline]
+#   scripts/bench.sh [--baseline-ref REF] [--workload W] [--seed N] [--seconds S]
 #
-# --smoke        small workloads/iteration counts (CI); implies
-#                --skip-baseline unless --baseline-ref is given explicitly
-# --baseline-ref git ref to benchmark against (default: HEAD — i.e. the last
-#                commit, which excludes uncommitted changes)
+# --baseline-ref  the parent (default HEAD, so uncommitted edits are the
+#                 change), unpacked with git archive into a temp dir
+# --workload, --seed, --seconds
+#                 passed to the runner; without --workload every
+#                 BENCHMARK.json workload runs
+#
+# Each tree builds under its own CARGO_TARGET_DIR. The results stay in
+# .bench_build/ab/{parent,change}/: WORKLOAD.jsonl holds one runner result
+# line per run, WORKLOAD.trace.json one --trace 1 result. Exit status: 0
+# pass, 1 a worse metric or a larger failed-op share, 2 a usage or build
+# error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SMOKE=""
-OUT="BENCH_hotpath.json"
-BASE_REF=""
-SKIP_BASE=0
+usage() {
+  echo "usage: scripts/bench.sh [--baseline-ref REF] [--workload W] [--seed N] [--seconds S]" >&2
+  exit 2
+}
+REF=HEAD
+PASS=()
+WORKLOADS=()
 while [[ $# -gt 0 ]]; do
+  [[ $# -ge 2 ]] || usage
   case "$1" in
-    --smoke) SMOKE="--smoke" ;;
-    --out) OUT="$2"; shift ;;
-    --baseline-ref) BASE_REF="$2"; shift ;;
-    --skip-baseline) SKIP_BASE=1 ;;
-    *) echo "unknown option: $1" >&2; exit 2 ;;
+    --baseline-ref) REF="$2" ;;
+    --workload) WORKLOADS=("$2") ;;
+    --seed | --seconds) PASS+=("$1" "$2") ;;
+    *) usage ;;
   esac
-  shift
+  shift 2
 done
-if [[ -n "$SMOKE" && -z "$BASE_REF" ]]; then
-  SKIP_BASE=1
-fi
-
-echo "== bench: building current tree =="
-cmake -B build -S . >/dev/null
-cmake --build build -j"$(nproc)" --target perf_hotpath >/dev/null
+PAIRS=10  # the merge rule's count, as in scripts/bench_verdict.py
+git rev-parse -q --verify "$REF^{commit}" > /dev/null || {
+  echo "bench: $REF names no commit" >&2; exit 2; }
+[[ ${#WORKLOADS[@]} -gt 0 ]] || mapfile -t WORKLOADS < <(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/parent"
+git archive "$REF" | tar -x -C "$TMP/parent"
+OUT=.bench_build/ab
+rm -rf "$OUT"
+mkdir -p "$OUT/parent" "$OUT/change"
 
-echo "== bench: running current perf_hotpath $SMOKE =="
-./build/bench/perf_hotpath $SMOKE --label current > "$TMP/current.json"
+runner() {  # SIDE ARGS...
+  if [[ $1 == parent ]]; then
+    (cd "$TMP/parent" && CARGO_TARGET_DIR="$TMP/build" python3 uvmbench/run_benchmark.py "${@:2}")
+  else
+    python3 uvmbench/run_benchmark.py "${@:2}"
+  fi
+}
 
-if [[ "$SKIP_BASE" -eq 0 ]]; then
-  REF="${BASE_REF:-HEAD}"
-  echo "== bench: building baseline ($REF) =="
-  WT="$TMP/baseline-tree"
-  git worktree add --detach "$WT" "$REF" >/dev/null
-  # The bench predates the baseline ref: graft it (it only uses APIs common
-  # to both trees; the eviction index is feature-detected via __has_include).
-  cp bench/perf_hotpath.cpp "$WT/bench/"
-  grep -q 'uvmsim_bench(perf_hotpath)' "$WT/bench/CMakeLists.txt" ||
-    echo 'uvmsim_bench(perf_hotpath)' >> "$WT/bench/CMakeLists.txt"
-  cmake -B "$WT/build" -S "$WT" >/dev/null
-  cmake --build "$WT/build" -j"$(nproc)" --target perf_hotpath >/dev/null
-  echo "== bench: running baseline perf_hotpath $SMOKE =="
-  "$WT/build/bench/perf_hotpath" $SMOKE --label "baseline:$REF" > "$TMP/baseline.json"
-  git worktree remove --force "$WT" >/dev/null
-fi
-
-python3 - "$TMP" "$OUT" <<'PY'
-import json, sys, os
-tmp, out = sys.argv[1], sys.argv[2]
-with open(os.path.join(tmp, "current.json")) as f:
-    current = json.load(f)
-baseline = None
-base_path = os.path.join(tmp, "baseline.json")
-if os.path.exists(base_path):
-    with open(base_path) as f:
-        baseline = json.load(f)
-doc = {"generated_by": "scripts/bench.sh", "smoke": current.get("smoke"),
-       "current": current, "baseline": baseline}
-if baseline is not None:
-    def ratio(a, b):
-        return round(a / b, 2) if b else None
-    doc["speedup"] = {
-        "eviction_microbench": ratio(baseline["eviction_microbench"]["wall_ms"],
-                                     current["eviction_microbench"]["wall_ms"]),
-        "event_queue": ratio(baseline["event_queue"]["wall_ms"],
-                             current["event_queue"]["wall_ms"]),
-        "sim_wall": ratio(baseline["sim_wall_ms"], current["sim_wall_ms"]),
+# Both trees build, and every workload passes its output checks, before any
+# timing starts.
+for side in parent change; do
+  echo "== bench: building the $side"
+  for w in "${WORKLOADS[@]}"; do
+    runner "$side" --smoke --workload "$w" > "$TMP/smoke" 2>&1 || {
+      tail -n 20 "$TMP/smoke" >&2
+      echo "bench: the $side fails to build or to pass the $w smoke run" >&2
+      exit 2
     }
-    if baseline.get("faults_per_sec") and current.get("faults_per_sec"):
-        doc["speedup"]["faults_per_sec"] = ratio(current["faults_per_sec"],
-                                                 baseline["faults_per_sec"])
-    # Regression gate: a current tree measurably slower than the baseline on
-    # the headline sim number fails the run (3% grace absorbs wall-clock
-    # noise). The verdict is recorded in the merged JSON either way.
-    GATE_MIN = 0.97
-    sim_speedup = doc["speedup"]["sim_wall"]
-    gate_fail = sim_speedup is not None and sim_speedup < GATE_MIN
-    doc["gate"] = {"min_sim_wall_speedup": GATE_MIN,
-                   "sim_wall_speedup": sim_speedup,
-                   "result": "fail" if gate_fail else "pass"}
-with open(out, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"wrote {out}")
-if baseline is not None:
-    print("speedup:", doc["speedup"])
-    if doc["gate"]["result"] == "fail":
-        print(f"GATE FAILED: sim_wall speedup {sim_speedup} < {GATE_MIN} "
-              "(current tree is slower than the baseline)", file=sys.stderr)
-        sys.exit(1)
-    print("gate: pass")
-PY
+  done
+done
+
+run() {  # SIDE WORKLOAD FILE [--trace 1]: appends the runner's result line to FILE
+  local log="$OUT/$1/$2.log"
+  if ! runner "$1" --workload "$2" "${PASS[@]}" "${@:4}" 2>> "$log" | tee -a "$log" |
+      tail -n 1 >> "$3"; then
+    echo "bench: a $1 run of $2 failed, see $log" >&2
+    [[ $1 == change ]] && exit 1 || exit 2
+  fi
+}
+
+for w in "${WORKLOADS[@]}"; do
+  for ((i = 0; i < PAIRS; i++)); do
+    order=(parent change)
+    ((i % 2 == 0)) || order=(change parent)
+    for side in "${order[@]}"; do
+      echo "== bench: $w pair $((i + 1))/$PAIRS, $side"
+      run "$side" "$w" "$OUT/$side/$w.jsonl"
+    done
+  done
+  for side in parent change; do
+    echo "== bench: $w traced run, $side"
+    run "$side" "$w" "$OUT/$side/$w.trace.json" --trace 1
+  done
+done
+python3 scripts/bench_verdict.py "$OUT/parent" "$OUT/change"

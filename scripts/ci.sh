@@ -34,51 +34,61 @@ for preset in "${presets[@]}"; do
       --oversub 1.3333 --scale 0.1 --audit | grep '^audit:'
 done
 
-echo "==> perf smoke (scripts/bench.sh --smoke)"
-scripts/bench.sh --smoke --out build/BENCH_hotpath_smoke.json
-python3 - build/BENCH_hotpath_smoke.json <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-for key in ("eviction_microbench", "event_queue", "sim_wall_ms"):
-    assert key in doc["current"], f"BENCH_hotpath missing {key}"
-print("perf smoke: BENCH_hotpath JSON well-formed")
+# Bench verdict (docs/PERF.md): the judging step of scripts/bench.sh on
+# synthetic saved results, so it needs no second build. The 'slow' set moves
+# a higher-is-better, a lower-is-better and a 10 %-bound metric past their
+# bounds, and setup_s by 1.15x, inside its 25 % bound: exactly three fail.
+# In 'gain', 0.7x p50 in every pair is a gain; 0.995x, inside the spread, or
+# 0.7x in only 8 pairs is not.
+echo "==> bench verdict (scripts/bench_verdict.py on synthetic runs)"
+rm -rf /tmp/uvmsim_verdict
+python3 - /tmp/uvmsim_verdict <<'PY'
+import json, pathlib, sys
+spec = json.load(open("BENCHMARK.json"))
+def runs(change, scale={}, spread=0.0, failed=0, pairs=10, ties=0):
+    """One side's result lines; scale (after the first `ties` runs) and failed
+    apply to the change only."""
+    for i in range(pairs):
+        f = 1 + 0.002 * i + spread * (i - 4.5) / 4.5
+        s = scale if change and i >= ties else {}
+        yield {"attempted": 50, "failed": failed if change and i == 0 else 0, "metrics": {
+            m["name"]: {"value": 100 * f * s.get(m["name"], 1), "unit": m["unit"]}
+            for m in spec["end_to_end"]}}
+sets = {"same": {}, "failed": {"thrash": {"failed": 1}}, "wide": {"thrash": {"spread": 0.3}},
+        "gain": {"thrash": {"scale": {"run_ns_per_access_p50": 0.7}},
+                 "replay": {"scale": {"run_ns_per_access_p50": 0.995}},
+                 "fuzz": {"scale": {"run_ns_per_access_p50": 0.7}, "ties": 2}},
+        "few": {w["name"]: {"pairs": 9} for w in spec["workloads"]},
+        "slow": {"paper-grid": {"scale": {"setup_s": 1.15}},
+                 "thrash": {"scale": {"accesses_per_sec": 0.6}},
+                 "replay": {"scale": {"run_ns_per_access_p50": 1.5}},
+                 "fuzz": {"scale": {"peak_rss_mb": 1.15}}}}
+for name, changed in sets.items():
+    for w in spec["workloads"]:
+        for side in ("parent", "change"):
+            d = pathlib.Path(sys.argv[1], name, side)
+            d.mkdir(parents=True, exist_ok=True)
+            (d / f"{w['name']}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in runs(
+                side == "change", **changed.get(w["name"], {}))))
 PY
-
-# Bench smoke: run the hot-path benchmark binary directly and validate the
-# full report schema — the headline rates (faults/accesses per second), the
-# isolation microbenches, and the per-subsystem cycle attribution whose
-# shares must cover sim_wall exactly (docs/PERF.md).
-echo "==> bench smoke (perf_hotpath --smoke schema)"
-build/bench/perf_hotpath --smoke > /tmp/uvmsim_bench_smoke.json
-python3 - /tmp/uvmsim_bench_smoke.json <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for key in ("sim_runs", "sim_wall_ms", "faults_per_sec", "accesses_per_sec",
-            "eviction_microbench", "event_queue", "event_queue_warp_ring",
-            "driver_storm", "tlb_storm", "attribution", "peak_rss_kb"):
-    assert key in doc, f"perf_hotpath report missing {key}"
-assert doc["faults_per_sec"] > 0, "faults_per_sec must be positive"
-assert doc["accesses_per_sec"] > 0, "accesses_per_sec must be positive"
-assert doc["sim_runs"], "no sim rows"
-for row in doc["sim_runs"]:
-    for key in ("workload", "oversub", "wall_ms", "far_faults", "accesses"):
-        assert key in row, f"sim row missing {key}: {row}"
-att = doc["attribution"]
-for lane in ("event_dispatch", "driver", "tlb_l2", "eviction", "other"):
-    assert lane in att, f"attribution missing {lane} lane"
-    assert "est_ms" in att[lane] and "est_share" in att[lane], att[lane]
-    if lane != "other":
-        assert "ns_per_op" in att[lane] and "ops" in att[lane], att[lane]
-# The "other" lane is the remainder, so shares sum to ~1.0 (modulo rounding)
-# unless the isolated per-op costs overshoot sim_wall — allow that skew but
-# catch nonsense (negative lanes, wildly wrong scaling).
-total_share = sum(l["est_share"] for l in att.values())
-assert all(l["est_share"] >= 0 for l in att.values()), "negative attribution share"
-assert 0.98 <= total_share <= 3.0, f"attribution shares sum to {total_share}"
-print(f"bench smoke: schema ok, attribution covers "
-      f"{total_share:.0%} of sim_wall")
-PY
+verdict() {  # SET WANT_RC WANT_FAILURES PATTERN...: FAILURES are the gate's, joined by ';'
+  local d=/tmp/uvmsim_verdict/$1 rc=0 got p
+  python3 scripts/bench_verdict.py "$d/parent" "$d/change" > "$d.log" 2>&1 || rc=$?
+  got=$(grep -E '^(worse|failed ops):' "$d.log" | paste -sd ';') || true
+  for p in "${@:4}"; do grep -q "$p" "$d.log" || got+=" (no '$p')"; done
+  if [[ $rc -ne $2 || "$got" != "$3" ]]; then
+    cat "$d.log"
+    echo "bench verdict on the '$1' set: rc=$rc and '$got', want $2 and '$3'"; exit 1
+  fi
+}
+verdict same 0 "" "^gate: pass"
+verdict slow 1 "worse: thrash accesses_per_sec;worse: replay run_ns_per_access_p50;worse: fuzz peak_rss_mb" "^gate: FAIL"
+verdict failed 1 "failed ops: thrash share rose" "^gate: FAIL"
+verdict wide 0 "" "unresolved"
+verdict gain 0 "" "p50 .* wins 10/10  gain$" "p50 .* wins 10/10  same$" \
+    "p50 .* wins 8/10  same$"
+verdict few 2 "" "too few pairs, 9"
+echo "bench verdict: identical, slow, failed-op, wide-spread, gain and too-few-pairs sets judged as expected"
 
 # Benchmark smoke (uvmbench/README.md): one small pass of every BENCHMARK.json
 # workload, untraced and traced, with the benchmark's own output checks —

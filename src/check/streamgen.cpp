@@ -83,7 +83,9 @@ void gen_thrash(RecordedLaunch& launch, const Layout& lay, std::uint64_t capacit
                 Rng& rng, std::uint64_t budget) {
   const std::uint64_t ring = ring_blocks(lay);
   std::uint64_t set = capacity_blocks + rng.between(1, 8);
-  set = std::clamp<std::uint64_t>(set, 2, ring);
+  // Not std::clamp: a one-block ring (one 64 KB allocation) puts the upper
+  // bound below the lower one, which clamp forbids.
+  set = std::min(std::max<std::uint64_t>(set, 2), ring);
   const std::uint64_t start = rng.below(ring);
   for (std::uint64_t i = 0; i < budget; ++i) {
     const VirtAddr a = block_ring_addr(lay, start + i % set);
@@ -170,7 +172,7 @@ void gen_coalesce_churn(RecordedLaunch& launch, const Layout& lay,
   const std::uint64_t ring = ring_blocks(lay);
   std::uint64_t set =
       capacity_blocks + rng.between(kBlocksPerLargePage / 2, 2 * kBlocksPerLargePage);
-  set = std::clamp<std::uint64_t>(set, 2, ring);
+  set = std::min(std::max<std::uint64_t>(set, 2), ring);  // see gen_thrash
   const std::uint64_t start = rng.below(ring);
   for (std::uint64_t i = 0; i < budget; ++i) {
     const VirtAddr a = block_ring_addr(lay, start + i % set);

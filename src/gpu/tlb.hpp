@@ -18,11 +18,6 @@
 
 #include "sim/types.hpp"
 
-/// Feature-test macro for out-of-tree consumers built against both this TLB
-/// and the per-page-invalidation one (bench/perf_hotpath.cpp is grafted onto
-/// the baseline worktree by scripts/bench.sh).
-#define UVMSIM_TLB_HAS_EPOCH 1
-
 namespace uvmsim {
 
 class Tlb {

@@ -43,11 +43,6 @@
 #include "check/check.hpp"
 #include "sim/types.hpp"
 
-/// Feature-test macro for out-of-tree consumers built against both this
-/// queue and the pre-wheel one (bench/perf_hotpath.cpp is grafted onto the
-/// baseline worktree by scripts/bench.sh).
-#define UVMSIM_EVENTQ_HAS_WHEEL 1
-
 namespace uvmsim {
 
 /// Move-only type-erased `void()` callable with inline storage sized for the
