@@ -175,10 +175,10 @@ fi
 
 # Record/replay smoke (docs/TRACES.md): an oversubscribed bfs run recorded
 # to a binary UVMTRB1 trace and replayed under the same configuration must
-# report byte-identical JSON; the converter must round-trip a fuzz-corpus
-# sidecar through the binary format with the content hash verifying; a
-# trace-seeded fuzz campaign must stay divergence-free; and both CLIs must
-# reject garbage trace files with exit 2.
+# report byte-identical JSON; the capture and every fuzz-corpus entry must
+# verify (content hash and structure); a trace-seeded fuzz campaign must
+# stay divergence-free; and the CLIs must reject, with exit 2, a garbage
+# file and the capture relabelled with the retired legacy format's magic.
 echo "==> record/replay smoke (UVMTRB1 round trip)"
 build/tools/uvmsim --workload bfs --policy adaptive --oversub 1.3333 \
     --scale 0.1 --record /tmp/uvmsim_ci.trb --json > /tmp/uvmsim_ci_rec.json
@@ -187,22 +187,25 @@ build/tools/uvmsim --replay /tmp/uvmsim_ci.trb --policy adaptive \
 cmp /tmp/uvmsim_ci_rec.json /tmp/uvmsim_ci_rep.json || {
   echo "replayed stats JSON differs from the recorded run"; exit 1; }
 build/tools/uvmsim-trace verify /tmp/uvmsim_ci.trb > /dev/null
-corpus_trc=$(ls tests/data/fuzz_corpus/*.trc | head -1)
-build/tools/uvmsim-trace convert "$corpus_trc" /tmp/uvmsim_ci_corpus.trb
-build/tools/uvmsim-trace verify /tmp/uvmsim_ci_corpus.trb > /dev/null
-build/tools/uvmsim-trace convert /tmp/uvmsim_ci_corpus.trb /tmp/uvmsim_ci_corpus.trc
+for entry in tests/data/fuzz_corpus/*.trb; do
+  build/tools/uvmsim-trace verify "$entry" > /dev/null
+done
 build/tools/uvmsim-fuzz --trace /tmp/uvmsim_ci.trb --iters 8 --quiet
 echo "garbage" > /tmp/uvmsim_ci_garbage.trb
-rc=0
-build/tools/uvmsim --replay /tmp/uvmsim_ci_garbage.trb > /dev/null 2>&1 || rc=$?
-if [[ $rc -ne 2 ]]; then
-  echo "uvmsim --replay accepted a garbage trace (rc=$rc, want 2)"; exit 1
-fi
-rc=0
-build/tools/uvmsim-trace verify /tmp/uvmsim_ci_garbage.trb > /dev/null 2>&1 || rc=$?
-if [[ $rc -ne 2 ]]; then
-  echo "uvmsim-trace verify accepted a garbage trace (rc=$rc, want 2)"; exit 1
-fi
+# Byte 5 of the magic 'B' -> 'C' gives the legacy magic.
+cp /tmp/uvmsim_ci.trb /tmp/uvmsim_ci_legacy.trb
+printf 'C' | dd of=/tmp/uvmsim_ci_legacy.trb bs=1 seek=5 conv=notrunc status=none
+for bad in /tmp/uvmsim_ci_garbage.trb /tmp/uvmsim_ci_legacy.trb; do
+  for cmd in "uvmsim --replay" "uvmsim-trace info" "uvmsim-trace verify" \
+             "uvmsim-fuzz --iters 1 --quiet --trace"; do
+    rc=0
+    # shellcheck disable=SC2086  # $cmd is a tool plus its flags
+    build/tools/$cmd "$bad" > /dev/null 2>&1 || rc=$?
+    if [[ $rc -ne 2 ]]; then
+      echo "$cmd accepted $bad (rc=$rc, want 2)"; exit 1
+    fi
+  done
+done
 
 # Granularity smoke (docs/GRANULARITY.md): the 2 MB coalescing state
 # machine is off by default, so exercise it explicitly — an audited

@@ -81,7 +81,7 @@ RecordedTrace remove_window(const RecordedTrace& t, std::uint64_t begin, std::ui
   for (const RecordedLaunch& l : t.launches) {
     RecordedLaunch nl;
     nl.kernel = l.kernel;
-    for (const TraceRecord& r : l.records) {
+    for (const Access& r : l.records) {
       if (idx < begin || idx >= begin + len) nl.records.push_back(r);
       ++idx;
     }
@@ -168,13 +168,13 @@ void save_case(const FuzzCase& fc, InjectedFault fault, const std::string& trace
   {
     std::ofstream os(trace_path, std::ios::binary);
     if (!os) throw std::runtime_error("fuzz: cannot write " + trace_path);
-    fc.trace->save(os);
+    write_trb(os, *fc.trace, {fc.label, fc.seed, config_digest(normalized_config(fc))});
     if (!os) throw std::runtime_error("fuzz: short write to " + trace_path);
   }
   std::ofstream os(config_path);
   if (!os) throw std::runtime_error("fuzz: cannot write " + config_path);
   os << "# uvmsim_fuzz repro sidecar (" << fc.label << ")\n"
-     << "# replay: uvmsim_fuzz --replay <trace.trc> <this file>\n"
+     << "# replay: uvmsim_fuzz --replay <trace.trb> <this file>\n"
      << "fuzz.seed = " << fc.seed << '\n'
      << "fuzz.fault = " << to_cstr(fault) << '\n';
   os << "fuzz.advice =";
@@ -188,11 +188,7 @@ void save_case(const FuzzCase& fc, InjectedFault fault, const std::string& trace
 FuzzCase load_case(const std::string& trace_path, const std::string& config_path,
                    InjectedFault* fault_out) {
   FuzzCase fc;
-  {
-    std::ifstream is(trace_path, std::ios::binary);
-    if (!is) throw std::runtime_error("fuzz: cannot read " + trace_path);
-    fc.trace = std::make_shared<RecordedTrace>(RecordedTrace::load(is));
-  }
+  fc.trace = std::make_shared<RecordedTrace>(read_trb_as_recorded(trace_path));
 
   std::ifstream is(config_path);
   if (!is) throw std::runtime_error("fuzz: cannot read " + config_path);
@@ -242,7 +238,7 @@ FuzzReport run_fuzz(const FuzzOptions& o) {
     // Trace-seeded campaign: the captured trace is the whole corpus. Case 0
     // replays it verbatim; later cases replay fresh mutants, rotating over
     // the four paper policies so the oracle exercises every decision path.
-    const auto base = std::make_shared<RecordedTrace>(load_any_trace(o.trace_path));
+    const auto base = std::make_shared<RecordedTrace>(read_trb_as_recorded(o.trace_path));
     static constexpr const char* kPaperSlugs[] = {"baseline", "always", "oversub", "adaptive"};
     for (std::uint64_t i = 0; i < o.iterations; ++i) {
       FuzzCase fc;
@@ -328,7 +324,7 @@ FuzzReport run_fuzz(const FuzzOptions& o) {
     if (!o.corpus_dir.empty()) {
       const std::string stem = std::string(to_cstr(o.inject)) + "_seed" +
                                std::to_string(o.seed) + "_case" + std::to_string(i);
-      f.trace_path = o.corpus_dir + "/" + stem + ".trc";
+      f.trace_path = o.corpus_dir + "/" + stem + ".trb";
       f.config_path = o.corpus_dir + "/" + stem + ".cfg";
       save_case(f.reduced, o.inject, f.trace_path, f.config_path);
     }

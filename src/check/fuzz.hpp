@@ -1,7 +1,7 @@
 // Differential fuzzing engine: drive generated FuzzCases through the real
 // simulator with a RefModel oracle attached, collect divergences, shrink
 // each finding to a minimal replayable trace (greedy record deletion), and
-// persist repros as <name>.trc (UVMTRC1) + <name>.cfg sidecar pairs that
+// persist repros as <name>.trb (UVMTRB1) + <name>.cfg sidecar pairs that
 // tests/check/test_fuzz_corpus.cpp replays as regressions.
 #pragma once
 
@@ -33,11 +33,11 @@ struct FuzzOptions {
   /// the generator's per-case choice). Non-paper slugs put the oracle in
   /// skip-decision mode (see RefModel).
   std::string policy_slug;
-  /// Seed the whole campaign from a captured trace file (UVMTRB1 or legacy
-  /// UVMTRC1) instead of generated cases: case 0 replays the trace exactly,
-  /// every later case replays a fresh mutant of it. Cases rotate through the
-  /// four paper policies unless `policy_slug` pins one. Throws TraceError on
-  /// a malformed file.
+  /// Seed the whole campaign from a captured UVMTRB1 trace instead of
+  /// generated cases: case 0 replays the trace exactly, every later case
+  /// replays a fresh mutant of it. Cases rotate through the four paper
+  /// policies unless `policy_slug` pins one. Throws TraceError on a
+  /// malformed or corrupted file.
   std::string trace_path;
   StreamGenOptions gen;
   /// Progress callback after each batch entry completes (serialized).
@@ -84,10 +84,11 @@ struct FuzzReport {
 [[nodiscard]] FuzzCase shrink_case(const FuzzCase& fc, InjectedFault inject,
                                    std::string* final_message = nullptr);
 
-/// Persist / load a repro as a UVMTRC1 trace plus a text sidecar holding the
-/// full SimConfig (config_parse format) and fuzz.* metadata lines (seed,
-/// fault, per-allocation advice). Both throw std::runtime_error on I/O
-/// failure or malformed input.
+/// Persist / load a repro as a UVMTRB1 trace (write_trb /
+/// read_trb_as_recorded) plus a text sidecar holding the full SimConfig
+/// (config_parse format) and fuzz.* metadata lines (seed, fault,
+/// per-allocation advice). Both throw std::runtime_error on I/O failure or
+/// malformed input; a malformed or corrupted trace is a TraceError.
 void save_case(const FuzzCase& fc, InjectedFault fault, const std::string& trace_path,
                const std::string& config_path);
 [[nodiscard]] FuzzCase load_case(const std::string& trace_path, const std::string& config_path,

@@ -64,7 +64,21 @@ struct Layout {
 
 void push(RecordedLaunch& launch, VirtAddr addr, AccessType type, std::uint16_t count,
           std::uint16_t gap) {
-  launch.records.push_back(TraceRecord{addr, count, type, gap});
+  launch.records.push_back(Access{addr, type, count, gap});
+}
+
+// UVMTRB1 refuses a record that runs past the mapped span (TraceReader), and
+// every stream the fuzzer runs must save as a repro. So such a record is cut
+// to end at the span, from its 128 B transaction boundary: the same first
+// line, page and block, with fewer transactions.
+void cut_to_span(RecordedTrace& trace, VirtAddr span_end) {
+  for (RecordedLaunch& l : trace.launches) {
+    for (Access& a : l.records) {
+      if (a.addr + a.bytes() <= span_end) continue;
+      a.addr -= a.addr % kWarpAccessBytes;
+      a.count = static_cast<std::uint16_t>((span_end - a.addr) / kWarpAccessBytes);
+    }
+  }
 }
 
 // Patterns. Each appends `budget` records to `launch`.
@@ -361,6 +375,7 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
     label += kPatternNames[pat];
     trace->launches.push_back(std::move(launch));
   }
+  cut_to_span(*trace, probe.span_end());
   fc.trace = std::move(trace);
   fc.label = "seed" + std::to_string(index) + ":" + label;
   fc.config.validate();
@@ -399,6 +414,9 @@ RecordedTrace mutate_trace(const RecordedTrace& trace, Rng& rng) {
         break;
     }
   }
+  AddressSpace space;
+  for (const auto& [name, size] : out.allocations) (void)space.allocate(name, size);
+  cut_to_span(out, space.span_end());
   return out;
 }
 

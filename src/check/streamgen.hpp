@@ -51,13 +51,15 @@ struct StreamGenOptions {
 
 /// Deterministically generate case `index` of the stream seeded by
 /// `master_seed`. Configs always come back with collect_traces set and
-/// copy_then_execute cleared (the model observes, never preloads).
+/// copy_then_execute cleared (the model observes, never preloads). Every
+/// record ends within the mapped span, so every case saves as UVMTRB1.
 [[nodiscard]] FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
                                      const StreamGenOptions& opts = {});
 
 /// Corpus-style mutation: delete/duplicate/retype/recount/re-address a few
 /// records of an existing trace. Addresses are only ever recombined from
-/// records already present, so mutants stay within the mapped span.
+/// records already present, and a record that would run past the mapped
+/// span is cut to end there, so mutants save as UVMTRB1 too.
 [[nodiscard]] RecordedTrace mutate_trace(const RecordedTrace& trace, Rng& rng);
 
 }  // namespace uvmsim

@@ -1,36 +1,31 @@
-// Legacy UVMTRC1 traces: RecordedTrace (allocation layout plus per-launch
-// access records), its file format, and TraceWorkload, which replays it.
-// Replaying one trace under different driver configurations compares
-// policies on literally identical inputs. Runs are recorded with TraceWriter
-// (trace/trace_binary.hpp); read_trb_as_recorded converts to this form.
-//
-// Binary format (little-endian, version 1):
-//   magic "UVMTRC1\0"
-//   u32 num_allocations; per allocation: u32 name_len, bytes, u64 size
-//   u32 num_launches;    per launch: u32 name_len, bytes, u64 num_records
-//   records: u64 addr, u16 count, u8 type, u8 pad, u16 gap  (12 bytes)
+// RecordedTrace, a whole trace in memory (allocation layout plus per-launch
+// access records), and TraceWorkload, which replays it. The fuzzer, the
+// tournament and the benchmark build this form; on disk it is UVMTRB1
+// (trace/trace_binary.hpp: write_trb and read_trb_as_recorded). Replaying
+// one trace under different driver configurations compares policies on
+// literally identical inputs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workloads/workload.hpp"
 
 namespace uvmsim {
 
-struct TraceRecord {
-  VirtAddr addr = 0;
-  std::uint16_t count = 1;
-  AccessType type = AccessType::kRead;
-  std::uint16_t gap = 0;
-};
+/// Records per task: TraceWorkload slices each launch into tasks of this
+/// many records, and write_trb frames them the same way.
+inline constexpr std::size_t kRecordsPerTask = 256;
 
 struct RecordedLaunch {
   std::string kernel;
-  std::vector<TraceRecord> records;
+  std::vector<Access> records;
+
+  [[nodiscard]] bool operator==(const RecordedLaunch&) const = default;
 };
 
 struct RecordedTrace {
@@ -38,16 +33,13 @@ struct RecordedTrace {
   std::vector<RecordedLaunch> launches;
 
   [[nodiscard]] std::uint64_t total_records() const noexcept;
-
-  void save(std::ostream& os) const;
-  [[nodiscard]] static RecordedTrace load(std::istream& is);  ///< throws on bad input
 };
 
 /// Workload replaying a recorded trace: identical allocation layout, one
-/// kernel launch per recorded launch, accesses in recorded order chunked
-/// into tasks. NOTE: replay order across warps is not bit-identical to the
-/// original interleaving (tasks redistribute), but the per-launch access
-/// multiset and sequence are.
+/// kernel launch per non-empty recorded launch, accesses in recorded order
+/// chunked into kRecordsPerTask-record tasks. NOTE: replay order across
+/// warps is not bit-identical to the original interleaving (tasks
+/// redistribute), but the per-launch access multiset and sequence are.
 class TraceWorkload final : public Workload {
  public:
   explicit TraceWorkload(RecordedTrace trace) : trace_(std::move(trace)) {}

@@ -1,6 +1,5 @@
 #include "trace/replay_workload.hpp"
 
-#include <fstream>
 #include <utility>
 
 namespace uvmsim {
@@ -63,20 +62,7 @@ std::vector<std::shared_ptr<const Kernel>> ReplayWorkload::schedule() const {
 std::unique_ptr<Workload> make_replay_workload(const WorkloadParams& p) {
   if (p.trace_file.empty())
     throw TraceError("replay workload: WorkloadParams::trace_file is not set");
-  std::ifstream sniff(p.trace_file, std::ios::binary);
-  if (!sniff) throw TraceError("replay workload: cannot open " + p.trace_file);
-  std::array<char, 8> magic{};
-  sniff.read(magic.data(), magic.size());
-  if (!sniff) throw TraceError("replay workload: truncated trace " + p.trace_file);
-  if (magic == kTrbMagic)
-    return std::make_unique<ReplayWorkload>(std::make_shared<TraceReader>(p.trace_file));
-  // Legacy UVMTRC1: whole-trace load, equivalent (not bit-identical) replay.
-  sniff.seekg(0);
-  try {
-    return std::make_unique<TraceWorkload>(RecordedTrace::load(sniff));
-  } catch (const std::exception& e) {
-    throw TraceError(std::string(e.what()) + " (" + p.trace_file + ")");
-  }
+  return std::make_unique<ReplayWorkload>(std::make_shared<TraceReader>(p.trace_file));
 }
 
 }  // namespace uvmsim

@@ -33,10 +33,8 @@ class ReplayWorkload final : public Workload {
   std::shared_ptr<TraceReader> reader_;
 };
 
-/// Registry factory for the "replay" slug: opens WorkloadParams::trace_file,
-/// sniffs the magic, and returns a ReplayWorkload (UVMTRB1, bit-identical
-/// replay) or a TraceWorkload (legacy UVMTRC1, equivalent replay). Throws
-/// TraceError on a missing/malformed file.
+/// Registry factory for the "replay" slug: opens WorkloadParams::trace_file
+/// as a ReplayWorkload. Throws TraceError on a missing or malformed file.
 [[nodiscard]] std::unique_ptr<Workload> make_replay_workload(const WorkloadParams& p);
 
 }  // namespace uvmsim

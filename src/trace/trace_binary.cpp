@@ -1,6 +1,7 @@
 #include "trace/trace_binary.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -10,6 +11,8 @@
 namespace uvmsim {
 
 namespace {
+
+constexpr std::array<char, 8> kTrbMagic{'U', 'V', 'M', 'T', 'R', 'B', '1', '\0'};
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
@@ -89,8 +92,7 @@ struct Cursor {
   }
 };
 
-/// Decode one task's record stream from `cur` into `out`. Shared by the
-/// chunk loader and the converter so both enforce identical validation.
+/// Decode one task's record stream from `cur` into `out`.
 void decode_task(Cursor& cur, std::uint64_t span_end, std::vector<Access>& out) {
   const std::uint64_t n = cur.varint();
   // Every record is at least 2 bytes (flags + delta), so a count larger
@@ -571,11 +573,9 @@ void TraceReader::verify() {
 }
 
 // --------------------------------------------------------------------------
-// Format conversions
+// In-memory traces
 
-void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Provenance prov,
-               std::uint64_t records_per_task) {
-  if (records_per_task == 0) records_per_task = 1;
+void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Provenance prov) {
   TraceWriter w(os, std::move(prov));
   std::vector<TraceAllocInfo> allocs;
   allocs.reserve(trace.allocations.size());
@@ -584,18 +584,13 @@ void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Proven
   w.set_allocations(std::move(allocs));
   std::vector<Access> task;
   for (const RecordedLaunch& l : trace.launches) {
-    // Launches with no records are dropped: TraceWorkload (the UVMTRC1
-    // replayer) skips them too, so both replays see the same launch count.
-    if (l.records.empty()) continue;
+    if (l.records.empty()) continue;  // TraceWorkload skips these too
     w.begin_launch(l.kernel);
-    for (std::size_t i = 0; i < l.records.size(); i += records_per_task) {
-      const std::size_t last =
-          std::min(l.records.size(), i + static_cast<std::size_t>(records_per_task));
-      task.clear();
-      for (std::size_t r = i; r < last; ++r) {
-        const TraceRecord& rec = l.records[r];
-        task.push_back(Access{rec.addr, rec.type, rec.count, rec.gap});
-      }
+    const auto begin = l.records.begin();
+    for (std::size_t first = 0; first < l.records.size(); first += kRecordsPerTask) {
+      const std::size_t last = std::min(l.records.size(), first + kRecordsPerTask);
+      task.assign(begin + static_cast<std::ptrdiff_t>(first),
+                  begin + static_cast<std::ptrdiff_t>(last));
       w.append_task(task);
     }
   }
@@ -604,39 +599,18 @@ void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Proven
 
 RecordedTrace read_trb_as_recorded(const std::string& path) {
   TraceReader reader(path);
+  reader.verify();
   RecordedTrace out;
   for (const TraceAllocInfo& a : reader.meta().allocations)
     out.allocations.emplace_back(a.name, a.user_size);
-  std::vector<Access> task;
-  for (std::size_t li = 0; li < reader.meta().launches.size(); ++li) {
+  for (std::uint32_t li = 0; li < reader.meta().launches.size(); ++li) {
     const TraceLaunchInfo& l = reader.meta().launches[li];
-    RecordedLaunch rl;
+    RecordedLaunch& rl = out.launches.emplace_back();
     rl.kernel = l.kernel;
     rl.records.reserve(static_cast<std::size_t>(l.num_records));
-    for (std::uint64_t t = 0; t < l.num_tasks; ++t) {
-      task.clear();
-      reader.read_task(static_cast<std::uint32_t>(li), t, task);
-      for (const Access& a : task)
-        rl.records.push_back(TraceRecord{a.addr, a.count, a.type, a.gap});
-    }
-    out.launches.push_back(std::move(rl));
+    for (std::uint64_t t = 0; t < l.num_tasks; ++t) reader.read_task(li, t, rl.records);
   }
   return out;
-}
-
-RecordedTrace load_any_trace(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw TraceError("trace: cannot open " + path);
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  if (!is) throw TraceError("trace: truncated file " + path);
-  if (magic == kTrbMagic) return read_trb_as_recorded(path);
-  is.seekg(0);
-  try {
-    return RecordedTrace::load(is);
-  } catch (const std::exception& e) {
-    throw TraceError(std::string(e.what()) + " (" + path + ")");
-  }
 }
 
 }  // namespace uvmsim

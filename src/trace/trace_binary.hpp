@@ -1,16 +1,16 @@
-// UVMTRB1: the compact binary trace format for record / replay.
-//
-// The legacy UVMTRC1 form (trace/replay.hpp) stores one flat 12-byte record
-// per access and re-chunks the stream into fixed 256-record tasks on replay,
-// so a replayed run is equivalent but not bit-identical and the whole trace
-// must sit in memory. UVMTRB1 fixes both:
+// UVMTRB1: the binary trace format for record / replay, and the only trace
+// format on disk.
 //
 //   * it records at *task* granularity — the exact access stream each warp
 //     claimed, in hand-out order (TraceSink::on_task) — so replay re-issues
 //     byte-identical task streams and reproduces SimStats exactly;
-//   * records are varint-delta encoded (typically 2-4 bytes instead of 12);
+//   * records are varint-delta encoded (typically 2-4 bytes per access);
 //   * tasks are grouped into self-describing chunk frames, so million-access
 //     traces stream through a single-chunk cache with bounded RSS.
+//
+// In-memory traces (RecordedTrace, trace/replay.hpp: fuzzer repros and
+// tournament scenarios) go to and from this format with write_trb and
+// read_trb_as_recorded.
 //
 // File layout (little-endian):
 //
@@ -19,7 +19,7 @@
 //     u32 version (= 1), u32 flags (= 0)
 //     u64 config_digest          digest of the recording SimConfig, see
 //                                config_digest() in sim/config_parse.hpp;
-//                                0 = unknown (e.g. converted traces)
+//                                0 = unknown
 //     u64 footer_offset          patched on finalize()
 //     u64 total_records          patched on finalize()
 //   chunk frames, each:
@@ -50,7 +50,6 @@
 // All malformed-input failures throw TraceError; CLIs map it to exit code 2.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -74,7 +73,6 @@ class TraceError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::array<char, 8> kTrbMagic{'U', 'V', 'M', 'T', 'R', 'B', '1', '\0'};
 inline constexpr std::uint32_t kTrbVersion = 1;
 
 /// FNV-1a 64-bit over `len` bytes, chainable via `seed`.
@@ -116,7 +114,7 @@ struct TraceMeta {
 
 /// Streaming UVMTRB1 writer. Attach as RunOptions::trace_sink to record a
 /// run (the simulator feeds on_layout / on_kernel_begin, the GPU model feeds
-/// on_task), or drive begin_launch()/append_task() directly (converters).
+/// on_task), or drive begin_launch()/append_task() directly (write_trb).
 /// finalize() must be called exactly once after the run; nothing before it
 /// constitutes a valid trace.
 class TraceWriter final : public TraceSink {
@@ -142,7 +140,7 @@ class TraceWriter final : public TraceSink {
     append_task(accesses);
   }
 
-  // --- direct API (converters, tests) -----------------------------------
+  // --- direct API (write_trb, tests) ------------------------------------
   void set_allocations(std::vector<TraceAllocInfo> allocs);
   void begin_launch(const std::string& kernel);
   void append_task(const std::vector<Access>& accesses);
@@ -220,19 +218,16 @@ class TraceReader {
   std::uint64_t peak_decoded_ = 0;
 };
 
-/// Convert a legacy in-memory UVMTRC1 trace (fuzzer sidecars) to UVMTRB1,
-/// slicing launches into `records_per_task`-sized tasks — the same chunking
-/// TraceWorkload uses, so replaying the converted file is stat-identical to
-/// replaying the .trc through TraceWorkload.
-void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Provenance prov,
-               std::uint64_t records_per_task = 256);
+/// Write an in-memory trace as UVMTRB1, slicing each launch into
+/// kRecordsPerTask-record tasks — the chunking TraceWorkload uses, so
+/// replaying the file is stat-identical to replaying `trace` through
+/// TraceWorkload. Launches with no records are dropped; TraceWorkload skips
+/// them too.
+void write_trb(std::ostream& os, const RecordedTrace& trace, TraceWriter::Provenance prov);
 
-/// Flatten a UVMTRB1 file into the legacy in-memory form (task framing is
-/// folded into the per-launch record stream). Throws TraceError.
+/// Verify a UVMTRB1 file (TraceReader::verify) and flatten it into the
+/// in-memory form: each launch's tasks are appended in order to its record
+/// stream. Throws TraceError.
 [[nodiscard]] RecordedTrace read_trb_as_recorded(const std::string& path);
-
-/// Load a trace in either format into the legacy in-memory form, sniffing
-/// the magic: UVMTRB1 files are flattened, UVMTRC1 files load natively.
-[[nodiscard]] RecordedTrace load_any_trace(const std::string& path);
 
 }  // namespace uvmsim

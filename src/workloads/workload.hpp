@@ -30,6 +30,7 @@ struct Access {
   [[nodiscard]] std::uint32_t bytes() const noexcept {
     return static_cast<std::uint32_t>(count) * kWarpAccessBytes;
   }
+  [[nodiscard]] bool operator==(const Access&) const = default;
 };
 
 class Kernel {
@@ -62,8 +63,8 @@ struct WorkloadParams {
   /// Rodinia-style random graphs) or "road" (high diameter, tiny frontiers,
   /// Lonestar road-network style). Ignored by non-graph workloads.
   std::string graph = "powerlaw";
-  /// Trace file driving the "replay" workload (UVMTRB1 or legacy UVMTRC1,
-  /// sniffed by magic). Ignored by every generator workload.
+  /// UVMTRB1 trace file driving the "replay" workload. Ignored by every
+  /// generator workload.
   std::string trace_file;
 };
 

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/simulator.hpp"
@@ -19,44 +18,9 @@ RecordedTrace tiny_trace() {
   t.allocations = {{"a", kLargePageSize}, {"b", 3 * kBasicBlockSize}};
   t.launches.push_back(
       {"k1",
-       {TraceRecord{0, 4, AccessType::kRead, 10},
-        TraceRecord{kPageSize, 1, AccessType::kWrite, 0}}});
-  t.launches.push_back({"k2", {TraceRecord{kLargePageSize, 2, AccessType::kRead, 5}}});
+       {Access{0, AccessType::kRead, 4, 10}, Access{kPageSize, AccessType::kWrite, 1, 0}}});
+  t.launches.push_back({"k2", {Access{kLargePageSize, AccessType::kRead, 2, 5}}});
   return t;
-}
-
-TEST(RecordedTrace, SaveLoadRoundTrip) {
-  const RecordedTrace t = tiny_trace();
-  std::stringstream ss;
-  t.save(ss);
-  const RecordedTrace u = RecordedTrace::load(ss);
-
-  ASSERT_EQ(u.allocations.size(), 2u);
-  EXPECT_EQ(u.allocations[0].first, "a");
-  EXPECT_EQ(u.allocations[0].second, kLargePageSize);
-  ASSERT_EQ(u.launches.size(), 2u);
-  EXPECT_EQ(u.launches[0].kernel, "k1");
-  ASSERT_EQ(u.launches[0].records.size(), 2u);
-  EXPECT_EQ(u.launches[0].records[0].addr, 0u);
-  EXPECT_EQ(u.launches[0].records[0].count, 4u);
-  EXPECT_EQ(u.launches[0].records[0].gap, 10u);
-  EXPECT_EQ(u.launches[0].records[1].type, AccessType::kWrite);
-  EXPECT_EQ(u.total_records(), 3u);
-}
-
-TEST(RecordedTrace, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTATRACE";
-  EXPECT_THROW(RecordedTrace::load(ss), std::runtime_error);
-}
-
-TEST(RecordedTrace, RejectsTruncatedInput) {
-  const RecordedTrace t = tiny_trace();
-  std::stringstream ss;
-  t.save(ss);
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(RecordedTrace::load(cut), std::runtime_error);
 }
 
 TEST(TraceWorkload, ReplaysRecordedAccesses) {

@@ -1,9 +1,9 @@
 // UVMTRB1 format tests: writer/reader round-trips (including empty launches
-// and multi-chunk traces), the bounded-RSS streaming property, converter
-// parity with the legacy UVMTRC1 form, and the robustness contract — every
-// malformed input (truncation, corrupted magic/version, garbage varints,
-// out-of-range block ids, arbitrary byte flips) raises TraceError; nothing
-// is silently accepted.
+// and multi-chunk traces), the bounded-RSS streaming property, the
+// in-memory RecordedTrace round trip (write_trb / read_trb_as_recorded), and
+// the robustness contract — every malformed input (truncation, corrupted or
+// legacy magic, bad version, garbage varints, out-of-range block ids,
+// arbitrary byte flips) raises TraceError; nothing is silently accepted.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -272,6 +272,14 @@ TEST(TraceBinary, CorruptedMagicAndVersionThrow) {
     EXPECT_THROW(TraceReader r(f.path()), TraceError);
   }
   {
+    std::string legacy = bytes;
+    legacy[5] = 'C';  // the magic of the retired uncompressed format
+    TempFile f("trb_magic_legacy.trb");
+    f.write(legacy);
+    EXPECT_THROW(TraceReader r(f.path()), TraceError);
+    EXPECT_THROW((void)read_trb_as_recorded(f.path()), TraceError);
+  }
+  {
     std::string bad = bytes;
     bad[8] = 99;  // version field
     TempFile f("trb_version_bad.trb");
@@ -350,61 +358,44 @@ TEST(TraceBinary, EveryByteFlipIsDetected) {
   EXPECT_EQ(detected, 400);
 }
 
-TEST(TraceBinary, ConverterRoundTripsLegacyTraces) {
-  // Legacy -> binary -> legacy must preserve the record stream exactly
+TEST(TraceBinary, WriteTrbRoundTripsRecordedTraces) {
+  // In-memory -> binary -> in-memory must preserve the record stream exactly
   // (empty launches are dropped, matching TraceWorkload::schedule()).
-  RecordedTrace legacy;
-  legacy.allocations = {{"a", 100000}, {"b", 50000}};
+  RecordedTrace trace;
+  trace.allocations = {{"a", 100000}, {"b", 50000}};
   RecordedLaunch l1;
   l1.kernel = "k1";
   for (std::uint64_t i = 0; i < 600; ++i) {
-    l1.records.push_back(TraceRecord{i * 128, static_cast<std::uint16_t>(1 + i % 3),
-                                     i % 5 == 0 ? AccessType::kWrite : AccessType::kRead,
-                                     static_cast<std::uint16_t>(i % 7)});
+    l1.records.push_back(acc(i * 128, i % 5 == 0 ? AccessType::kWrite : AccessType::kRead,
+                             static_cast<std::uint16_t>(1 + i % 3),
+                             static_cast<std::uint16_t>(i % 7)));
   }
   RecordedLaunch empty;
   empty.kernel = "k_empty";
   RecordedLaunch l2;
   l2.kernel = "k2";
-  l2.records.push_back(TraceRecord{131072, 2, AccessType::kRead, 9});
-  legacy.launches = {l1, empty, l2};
+  l2.records.push_back(acc(131072, AccessType::kRead, 2, 9));
+  trace.launches = {l1, empty, l2};
 
-  TempFile trb("trb_convert.trb");
+  TempFile trb("trb_recorded.trb");
   {
     std::ofstream os(trb.path(), std::ios::binary);
-    write_trb(os, legacy, {"legacy", 0, 0}, /*records_per_task=*/256);
+    write_trb(os, trace, {"recorded", 0, 0});
   }
 
   TraceReader r(trb.path());
   EXPECT_NO_THROW(r.verify());
   ASSERT_EQ(r.meta().launches.size(), 2u);  // empty launch dropped
-  EXPECT_EQ(r.meta().launches[0].num_tasks, 3u);  // 600 records / 256 per task
+  EXPECT_EQ(r.meta().launches[0].num_tasks, 3u);  // 600 records / kRecordsPerTask
   EXPECT_EQ(r.meta().total_records, 601u);
 
   const RecordedTrace back = read_trb_as_recorded(trb.path());
-  ASSERT_EQ(back.allocations.size(), legacy.allocations.size());
+  ASSERT_EQ(back.allocations.size(), trace.allocations.size());
   EXPECT_EQ(back.allocations[1].first, "b");
   EXPECT_EQ(back.allocations[1].second, 50000u);
   ASSERT_EQ(back.launches.size(), 2u);
-  ASSERT_EQ(back.launches[0].records.size(), 600u);
-  for (std::size_t i = 0; i < 600; ++i) {
-    EXPECT_EQ(back.launches[0].records[i].addr, l1.records[i].addr);
-    EXPECT_EQ(back.launches[0].records[i].count, l1.records[i].count);
-    EXPECT_EQ(back.launches[0].records[i].type, l1.records[i].type);
-    EXPECT_EQ(back.launches[0].records[i].gap, l1.records[i].gap);
-  }
-  EXPECT_EQ(back.launches[1].records.size(), 1u);
-
-  // load_any_trace sniffs both formats to the same in-memory form.
-  TempFile trc("trb_convert.trc");
-  {
-    std::ofstream os(trc.path(), std::ios::binary);
-    legacy.save(os);
-  }
-  const RecordedTrace via_trc = load_any_trace(trc.path());
-  const RecordedTrace via_trb = load_any_trace(trb.path());
-  EXPECT_EQ(via_trc.total_records(), 601u);
-  EXPECT_EQ(via_trb.total_records(), 601u);
+  EXPECT_TRUE(back.launches[0] == l1);
+  EXPECT_TRUE(back.launches[1] == l2);
 }
 
 TEST(TraceBinary, FinalizeIsRequiredAndIdempotencyGuarded) {

@@ -43,8 +43,8 @@ void usage() {
       "  --config           print the resolved configuration (Table I style)\n"
       "  --record FILE      capture the task trace to FILE (binary UVMTRB1;\n"
       "                     replays byte-identically, see docs/TRACES.md)\n"
-      "  --replay FILE      replay a captured trace instead of a workload\n"
-      "                     (UVMTRB1 or legacy UVMTRC1, sniffed by magic)\n"
+      "  --replay FILE      replay a captured UVMTRB1 trace instead of a\n"
+      "                     workload\n"
       "  --metrics FILE     write the per-interval time series of every\n"
       "                     registered metric (delta + cumulative) to FILE\n"
       "  --metrics-interval N  metrics sampling interval in cycles (default 100000)\n"
@@ -254,19 +254,17 @@ int main(int argc, char** argv) {
     if (!replay_path.empty()) {
       params.trace_file = replay_path;
       wl = make_workload("replay", params);
-      workload = wl->name();
-      if (const auto* rw = dynamic_cast<const ReplayWorkload*>(wl.get())) {
-        // Report under the recorded slug so a replayed run's JSON is
-        // byte-comparable with the recording run's.
-        workload = rw->meta().workload;
-        const std::uint64_t here = config_digest(cfg);
-        if (rw->meta().config_digest != 0 && rw->meta().config_digest != here) {
-          std::fprintf(stderr,
-                       "note: trace was recorded under a different configuration "
-                       "(digest %016llx, current %016llx)\n",
-                       static_cast<unsigned long long>(rw->meta().config_digest),
-                       static_cast<unsigned long long>(here));
-        }
+      const TraceMeta& meta = dynamic_cast<const ReplayWorkload&>(*wl).meta();
+      // Report under the recorded slug so a replayed run's JSON is
+      // byte-comparable with the recording run's.
+      workload = meta.workload;
+      const std::uint64_t here = config_digest(cfg);
+      if (meta.config_digest != 0 && meta.config_digest != here) {
+        std::fprintf(stderr,
+                     "note: trace was recorded under a different configuration "
+                     "(digest %016llx, current %016llx)\n",
+                     static_cast<unsigned long long>(meta.config_digest),
+                     static_cast<unsigned long long>(here));
       }
     } else {
       wl = make_workload(workload, params);

@@ -4,7 +4,7 @@
 //
 //   uvmsim_fuzz --seed 1 --iters 500                 # production fuzzing
 //   uvmsim_fuzz --seed 7 --inject skip-halving ...   # oracle self-test
-//   uvmsim_fuzz --replay repro.trc repro.cfg         # re-run one corpus entry
+//   uvmsim_fuzz --replay repro.trb repro.cfg         # re-run one corpus entry
 //
 // Exit codes: 0 = no divergence, 1 = divergence(s) found (or replay
 // diverged), 2 = usage error.
@@ -23,7 +23,7 @@ using namespace uvmsim;
 
 constexpr const char* kUsage =
     "usage: uvmsim_fuzz [options]\n"
-    "       uvmsim_fuzz --replay TRACE.trc CONFIG.cfg\n"
+    "       uvmsim_fuzz --replay TRACE.trb CONFIG.cfg\n"
     "\n"
     "options:\n"
     "  --seed N            master seed (default 1)\n"
@@ -39,14 +39,14 @@ constexpr const char* kUsage =
     "                      sat-ramp | ping-pong | coalesce-churn |\n"
     "                      splinter-storm)\n"
     "  --coalescing on|off pin mem.coalescing instead of randomizing it\n"
-    "  --trace FILE        seed the campaign from a captured trace (UVMTRB1\n"
-    "                      or UVMTRC1): case 0 replays it exactly, later\n"
-    "                      cases replay mutants, rotating paper policies\n"
+    "  --trace FILE        seed the campaign from a captured UVMTRB1 trace:\n"
+    "                      case 0 replays it exactly, later cases replay\n"
+    "                      mutants, rotating paper policies\n"
     "  --corpus-out DIR    dump shrunk repros into DIR\n"
     "  --max-findings N    shrink/dump at most N findings (default 8)\n"
     "  --no-shrink         keep findings at original trace size\n"
     "  --quiet             suppress per-batch progress\n"
-    "  --replay TRC CFG    run one saved repro in lockstep with the oracle\n"
+    "  --replay TRB CFG    run one saved repro in lockstep with the oracle\n"
     "  --help              this text\n";
 
 int usage_error(const char* what, const char* arg) {
@@ -55,11 +55,11 @@ int usage_error(const char* what, const char* arg) {
   return 2;
 }
 
-int run_replay(const std::string& trc, const std::string& cfg) {
+int run_replay(const std::string& trb, const std::string& cfg) {
   InjectedFault fault = InjectedFault::kNone;
-  const FuzzCase fc = load_case(trc, cfg, &fault);
+  const FuzzCase fc = load_case(trb, cfg, &fault);
   const CaseOutcome out = run_case(fc, fault);
-  std::printf("replay %s (%llu records, fault=%s): %s\n", trc.c_str(),
+  std::printf("replay %s (%llu records, fault=%s): %s\n", trb.c_str(),
               static_cast<unsigned long long>(fc.trace->total_records()), to_cstr(fault),
               out.interesting ? "DIVERGED" : "ok");
   if (out.interesting) {
@@ -74,7 +74,7 @@ int run_replay(const std::string& trc, const std::string& cfg) {
 int main(int argc, char** argv) {
   FuzzOptions opts;
   bool quiet = false;
-  std::string replay_trc;
+  std::string replay_trb;
   std::string replay_cfg;
 
   for (int i = 1; i < argc; ++i) {
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(a, "--replay") == 0) {
-      replay_trc = next(a);
+      replay_trb = next(a);
       replay_cfg = next(a);
     } else {
       return usage_error("unknown flag", a);
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!replay_trc.empty()) return run_replay(replay_trc, replay_cfg);
+    if (!replay_trb.empty()) return run_replay(replay_trb, replay_cfg);
 
     if (!quiet) {
       opts.progress = [](std::uint64_t done, std::uint64_t total) {

@@ -1,14 +1,10 @@
-// uvmsim-trace: inspect, verify and convert captured traces.
+// uvmsim-trace: inspect and verify captured UVMTRB1 traces.
 //
 //   uvmsim-trace info bfs.trb            # header, launches, provenance
 //   uvmsim-trace verify bfs.trb          # full content-hash + structure check
-//   uvmsim-trace convert bfs.trc bfs.trb # legacy UVMTRC1 -> binary UVMTRB1
-//   uvmsim-trace convert bfs.trb bfs.trc # binary -> legacy (direction by magic)
 //
 // Exit codes: 0 ok, 2 malformed input / bad usage, 1 internal error.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include <uvmsim/uvmsim.hpp>
@@ -19,35 +15,14 @@ using namespace uvmsim;
 
 void usage() {
   std::printf(
-      "usage: uvmsim-trace <command> [args]\n"
-      "  info FILE           print trace metadata (format, launches, records)\n"
+      "usage: uvmsim-trace <command> FILE\n"
+      "  info FILE           print trace metadata (launches, records, provenance)\n"
       "  verify FILE         recompute the content hash and re-decode every\n"
       "                      chunk; non-zero exit on any corruption\n"
-      "  convert IN OUT      convert between legacy UVMTRC1 and binary\n"
-      "                      UVMTRB1 (direction picked by IN's magic)\n"
-      "Formats are documented in docs/TRACES.md.\n");
-}
-
-/// Sniff the 8-byte magic; returns 'b' (UVMTRB1), 'c' (UVMTRC1) or 0.
-char sniff(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  if (!in.read(magic, sizeof magic)) return 0;
-  if (std::memcmp(magic, kTrbMagic.data(), sizeof magic) == 0) return 'b';
-  if (std::memcmp(magic, "UVMTRC1", 8) == 0) return 'c';
-  return 0;
+      "The UVMTRB1 format is documented in docs/TRACES.md.\n");
 }
 
 int cmd_info(const std::string& path) {
-  const char kind = sniff(path);
-  if (kind == 'c') {
-    const RecordedTrace t = load_any_trace(path);  // wraps errors in TraceError
-    std::printf("format:      UVMTRC1 (legacy)\n");
-    std::printf("allocations: %zu\n", t.allocations.size());
-    std::printf("launches:    %zu\n", t.launches.size());
-    std::printf("records:     %llu\n", static_cast<unsigned long long>(t.total_records()));
-    return 0;
-  }
   TraceReader reader(path);  // throws TraceError on anything malformed
   const TraceMeta& m = reader.meta();
   std::printf("format:      UVMTRB1 v%u\n", m.version);
@@ -68,42 +43,10 @@ int cmd_info(const std::string& path) {
 }
 
 int cmd_verify(const std::string& path) {
-  if (sniff(path) == 'c') {
-    // Legacy traces carry no checksum; a full parse is the strongest check.
-    const RecordedTrace t = load_any_trace(path);
-    std::printf("ok: UVMTRC1, %llu records (no checksum in legacy format)\n",
-                static_cast<unsigned long long>(t.total_records()));
-    return 0;
-  }
   TraceReader reader(path);
   reader.verify();  // throws TraceError on hash or structure mismatch
   std::printf("ok: UVMTRB1, %llu records, content hash verified\n",
               static_cast<unsigned long long>(reader.meta().total_records));
-  return 0;
-}
-
-int cmd_convert(const std::string& in_path, const std::string& out_path) {
-  const char kind = sniff(in_path);
-  if (kind == 'c') {
-    const RecordedTrace t = load_any_trace(in_path);
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw TraceError("cannot open " + out_path + " for writing");
-    TraceWriter::Provenance prov;
-    prov.workload = "uvmtrc1:" + in_path;
-    write_trb(out, t, prov);
-    if (!out) throw TraceError("short write to " + out_path);
-    std::printf("wrote UVMTRB1 %s (%llu records)\n", out_path.c_str(),
-                static_cast<unsigned long long>(t.total_records()));
-    return 0;
-  }
-  // Binary -> legacy: re-expand into a RecordedTrace and save.
-  const RecordedTrace t = read_trb_as_recorded(in_path);
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw TraceError("cannot open " + out_path + " for writing");
-  t.save(out);
-  if (!out) throw TraceError("short write to " + out_path);
-  std::printf("wrote UVMTRC1 %s (%llu records)\n", out_path.c_str(),
-              static_cast<unsigned long long>(t.total_records()));
   return 0;
 }
 
@@ -122,7 +65,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
     if (cmd == "verify" && argc == 3) return cmd_verify(argv[2]);
-    if (cmd == "convert" && argc == 4) return cmd_convert(argv[2], argv[3]);
     usage();
     return 2;
   } catch (const TraceError& e) {
