@@ -32,14 +32,9 @@ inline const std::vector<std::string>& irregular_names() {
 }
 
 inline SimConfig make_cfg(PolicyKind policy, std::uint32_t ts = 8, std::uint64_t p = 8) {
-  SimConfig cfg;
-  cfg.policy.policy = policy;
+  SimConfig cfg = scheme_config(policy);
   cfg.policy.static_threshold = ts;
   cfg.policy.migration_penalty = p;
-  // Baseline uses the stock LRU replacement; every counter-based scheme uses
-  // the paper's access-counter LFU (paper §VI).
-  cfg.mem.eviction =
-      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
   return cfg;
 }
 

@@ -8,21 +8,9 @@
 
 #include <uvmsim/uvmsim.hpp>
 
-namespace {
-
-using namespace uvmsim;
-
-SimConfig cfg_for(PolicyKind policy) {
-  SimConfig cfg;
-  cfg.policy.policy = policy;
-  cfg.mem.eviction =
-      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
-  return cfg;
-}
-
-}  // namespace
-
 int main() {
+  using namespace uvmsim;
+
   WorkloadParams params;
   params.scale = 0.25;
 
@@ -44,7 +32,7 @@ int main() {
     for (const auto& [label, kind] : policies) {
       std::printf("%-10s", label.c_str());
       for (const double o : {0.0, 1.1, 1.25, 1.5}) {
-        const SimConfig cfg = cfg_for(kind);
+        const SimConfig cfg = scheme_config(kind);
         const RunResult r = run_workload(graph_app, cfg, o, params);
         std::printf("  %10.2f", r.kernel_ms(cfg.gpu.core_clock_ghz));
       }

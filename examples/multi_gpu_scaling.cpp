@@ -20,10 +20,7 @@ MultiGpuResult run_multi(const std::string& workload, PolicyKind policy,
   params.scale = 0.5;
   auto wl = make_workload(workload, params);
 
-  SimConfig cfg;
-  cfg.policy.policy = policy;
-  cfg.mem.eviction =
-      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
+  SimConfig cfg = scheme_config(policy);
   cfg.mem.oversubscription = oversub;
 
   MultiGpuSimulator sim(cfg, MultiGpuConfig{gpus, /*split_capacity=*/true});

@@ -8,8 +8,8 @@
 //   workload: backprop|fdtd|hotspot|srad|bfs|nw|ra|sssp (default: sssp)
 //   oversub:  working-set / device-capacity factor (default: 1.25)
 //   jobs:     worker threads (default: hardware concurrency)
+// A malformed number exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,8 +19,13 @@ int main(int argc, char** argv) {
   using namespace uvmsim;
 
   const std::string workload = argc > 1 ? argv[1] : "sssp";
-  const double oversub = argc > 2 ? std::atof(argv[2]) : 1.25;
-  const unsigned jobs = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 0;
+  double oversub = 1.25;
+  unsigned jobs = 0;
+  if ((argc > 2 && !parse_double(argv[2], oversub)) ||
+      (argc > 3 && !parse_unsigned(argv[3], jobs))) {
+    std::fprintf(stderr, "usage: policy_explorer [workload] [oversub] [jobs]\n");
+    return 2;
+  }
 
   WorkloadParams params;
   params.scale = 0.25;
@@ -43,10 +48,9 @@ int main(int argc, char** argv) {
       req.workload = workload;
       req.params = params;
       req.oversub = oversub;
-      req.config.policy.policy = PolicyKind::kAdaptive;
+      req.config = scheme_config(PolicyKind::kAdaptive);
       req.config.policy.static_threshold = ts;
       req.config.policy.migration_penalty = p;
-      req.config.mem.eviction = EvictionKind::kLfu;
       grid.push_back(std::move(req));
     }
   }

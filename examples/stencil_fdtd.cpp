@@ -25,9 +25,7 @@ int main() {
   params.scale = 0.25;
 
   SimConfig baseline;  // first-touch + LRU + tree prefetcher
-  SimConfig adaptive;
-  adaptive.policy.policy = PolicyKind::kAdaptive;
-  adaptive.mem.eviction = EvictionKind::kLfu;
+  const SimConfig adaptive = scheme_config(PolicyKind::kAdaptive);
 
   std::printf("fdtd — iterative 3-array stencil (regular access pattern)\n\n");
 

@@ -16,10 +16,7 @@ using namespace uvmsim;
 obs::MetricsRecorder run_with_metrics(PolicyKind policy, const char* csv_path) {
   WorkloadParams params;
   params.scale = 0.5;
-  SimConfig cfg;
-  cfg.policy.policy = policy;
-  cfg.mem.eviction =
-      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
+  SimConfig cfg = scheme_config(policy);
   cfg.mem.oversubscription = 1.25;
 
   auto wl = make_workload("bfs", params);

@@ -143,6 +143,32 @@ python3 -c 'import json, sys; json.load(open(sys.argv[1]))' /tmp/uvmsim_obs.json
 cmp /tmp/uvmsim_obs_plain.json /tmp/uvmsim_obs.json || {
   echo "observed run's --json output differs from the unobserved run's"; exit 1; }
 
+# Config boundary (sim/config_parse.hpp): a shorthand flag and --set of its
+# key run the same experiment, and a value its key cannot hold exits 2 with
+# a message naming the key instead of running something else.
+echo "==> config boundary (shorthand == --set, hostile values rc=2)"
+same_run() {  # WHAT, then the two argument lists separated by --
+  local what=$1 a=() b=(); shift
+  while [[ $1 != -- ]]; do a+=("$1"); shift; done; shift; b=("$@")
+  build/tools/uvmsim --workload bfs --scale 0.05 --json "${a[@]}" > /tmp/uvmsim_cfg_a.json
+  build/tools/uvmsim --workload bfs --scale 0.05 --json "${b[@]}" > /tmp/uvmsim_cfg_b.json
+  cmp /tmp/uvmsim_cfg_a.json /tmp/uvmsim_cfg_b.json || { echo "$what"; exit 1; }
+}
+same_run "--set mem.oversubscription=1.25 ran differently from --oversub 1.25" \
+    --set mem.oversubscription=1.25 -- --oversub 1.25
+same_run "--set mem.eviction=lru ran differently from --eviction lru" \
+    --policy adaptive --set mem.eviction=lru -- --policy adaptive --eviction lru
+for kv in gpu.tlb_entries_per_sm=-1 gpu.num_sms=4294967297 \
+          mem.oversubscription=1.25xyz gpu.core_clock_ghz=nan \
+          xfer.pcie_bandwidth_gbps=inf mem.device_capacity_bytes=17592186044418MB; do
+  rc=0
+  build/tools/uvmsim --workload bfs --scale 0.05 --set "$kv" \
+      > /dev/null 2> /tmp/uvmsim_cfg_err.txt || rc=$?
+  if [[ $rc -ne 2 ]] || ! grep -qF "${kv%%=*}" /tmp/uvmsim_cfg_err.txt; then
+    echo "uvmsim --set $kv: rc=$rc, want 2 and a message naming the key"; exit 1
+  fi
+done
+
 # Victim-parity audit: the auditor cross-validates the incremental eviction
 # index against the reference scan (check_eviction_index); any divergence is
 # a violation and fails the pipeline.

@@ -197,7 +197,7 @@ class LayeringRule final : public Rule {
 
   /// "core/uvm_driver.hpp" -> "src/core/uvm_driver.hpp" when that file is in
   /// the corpus; "" for includes that do not resolve to a repo source file
-  /// (e.g. tool-local "flag_parse.hpp" relative includes).
+  /// (e.g. tool-local "sweep_grid.hpp" relative includes).
   [[nodiscard]] static std::string resolve(const Corpus& corpus, const std::string& target) {
     const std::string candidate = "src/" + target;
     if (corpus.find(candidate) != nullptr) return candidate;

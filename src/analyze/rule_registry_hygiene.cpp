@@ -1,5 +1,5 @@
-// Rule `registry-hygiene`: the two places where the repo promises "every X
-// is registered" are cross-checked mechanically.
+// Rule `registry-hygiene`: the places where the repo promises "every X is
+// registered" are cross-checked mechanically.
 //
 //   * Every numeric SimStats field (src/sim/stats.hpp) must have exactly one
 //     UVMSIM_METRIC entry in obs/metrics.def, and vice versa. The build
@@ -11,13 +11,11 @@
 //   * Every workload slug in the factory table of src/workloads/registry.cpp
 //     must have a backticked entry in docs/WORKLOADS.md, for the same
 //     reason: `uvmsim --workload X` is only discoverable through that doc.
-//   * Every key the config setter table accepts must be written back by
-//     to_config_string and vice versa (both in src/sim/config_parse.cpp) —
-//     a one-sided key silently breaks the parse/serialize round trip that
-//     replay sidecars and config_digest depend on.
+//
+// Config keys need no check here: src/sim/config_parse.cpp lists each key
+// once, and parsing and serialization both read that one table.
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -34,7 +32,6 @@ constexpr std::string_view kMetricsPath = "src/obs/metrics.def";
 constexpr std::string_view kPoliciesDoc = "docs/POLICIES.md";
 constexpr std::string_view kWorkloadRegistry = "src/workloads/registry.cpp";
 constexpr std::string_view kWorkloadsDoc = "docs/WORKLOADS.md";
-constexpr std::string_view kConfigParse = "src/sim/config_parse.cpp";
 
 /// Numeric fields of struct SimStats: `uint64_t name = ...;` / `Cycle name;`
 /// at depth 1 of the struct body. Non-numeric members (std::string
@@ -86,15 +83,13 @@ class RegistryHygieneRule final : public Rule {
   [[nodiscard]] std::string_view name() const noexcept override { return "registry-hygiene"; }
   [[nodiscard]] std::string_view description() const noexcept override {
     return "SimStats fields <-> obs/metrics.def entries; policy slugs documented in "
-           "docs/POLICIES.md; workload slugs documented in docs/WORKLOADS.md; config "
-           "setter keys <-> to_config_string keys";
+           "docs/POLICIES.md; workload slugs documented in docs/WORKLOADS.md";
   }
 
   void run(const Corpus& corpus, std::vector<Finding>& out) const override {
     check_metric_registry(corpus, out);
     check_policy_docs(corpus, out);
     check_workload_docs(corpus, out);
-    check_config_keys(corpus, out);
   }
 
  private:
@@ -206,49 +201,6 @@ class RegistryHygieneRule final : public Rule {
       if (doc->find("`" + slug + "`") == std::string::npos) {
         add(std::string(kWorkloadRegistry), line,
             "workload slug '" + slug + "' has no `" + slug + "` entry in docs/WORKLOADS.md",
-            out);
-      }
-    }
-  }
-  void check_config_keys(const Corpus& corpus, std::vector<Finding>& out) const {
-    const SourceFile* file = corpus.find(kConfigParse);
-    if (file == nullptr) return;  // partial corpora (fixtures)
-    const std::vector<Token>& toks = file->tokens;
-
-    // Setter-map keys: the `{"key", <lambda>}` entries of the setters() table.
-    std::map<std::string, int> setter_keys;
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != TokenKind::kString) continue;
-      if (toks[i - 1].text != "{" || toks[i + 1].text != ",") continue;
-      if (toks[i].text.find(' ') != std::string::npos) continue;
-      setter_keys.try_emplace(toks[i].text, toks[i].line);
-    }
-
-    // Serialized keys: the `<< "key = "` literals of to_config_string.
-    std::map<std::string, int> serialized;
-    for (const Token& t : toks) {
-      if (t.kind != TokenKind::kString) continue;
-      const std::string& s = t.text;
-      if (s.size() <= 3 || s.compare(s.size() - 3, 3, " = ") != 0) continue;
-      const std::string key = s.substr(0, s.size() - 3);
-      if (key.find(' ') != std::string::npos) continue;
-      serialized.try_emplace(key, t.line);
-    }
-    if (setter_keys.empty() || serialized.empty()) return;  // refactored away
-
-    for (const auto& [key, line] : setter_keys) {
-      if (serialized.count(key) == 0) {
-        add(std::string(kConfigParse), line,
-            "config key '" + key +
-                "' is parseable but never written by to_config_string (round-trip hole)",
-            out);
-      }
-    }
-    for (const auto& [key, line] : serialized) {
-      if (setter_keys.count(key) == 0) {
-        add(std::string(kConfigParse), line,
-            "to_config_string writes key '" + key +
-                "' that no setter accepts (unparseable output)",
             out);
       }
     }

@@ -207,7 +207,8 @@ FuzzCase load_case(const std::string& trace_path, const std::string& config_path
     const std::string key = trim(t.substr(0, eq));
     const std::string value = trim(t.substr(eq + 1));
     if (key == "fuzz.seed") {
-      fc.seed = std::stoull(value);
+      if (!parse_u64(value.c_str(), fc.seed))
+        throw std::runtime_error("fuzz sidecar: bad fuzz.seed '" + value + "'");
     } else if (key == "fuzz.fault") {
       fault = parse_fault(value);
     } else if (key == "fuzz.advice") {

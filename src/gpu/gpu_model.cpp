@@ -120,7 +120,7 @@ void GpuModel::step_warp(WarpId w) {
     stats_.l2_misses += misses;
     if (misses == 0) {
       stats_.total_accesses += a.count;  // the driver never sees these
-      finish_access(w, start + cfg_.gpu.l2.hit_latency);
+      finish_access(w, start + kL2HitLatency);
       return;
     }
     count = misses;

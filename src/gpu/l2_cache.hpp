@@ -22,6 +22,9 @@ namespace uvmsim {
 
 using L2Config = L2ModelConfig;
 
+/// Latency of an L2 hit in core cycles (GTX 1080 Ti class).
+inline constexpr Cycle kL2HitLatency = 30;
+
 class L2Cache {
  public:
   explicit L2Cache(const L2Config& cfg);

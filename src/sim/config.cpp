@@ -69,12 +69,23 @@ double SimConfig::dram_bytes_per_cycle() const noexcept {
 
 void SimConfig::validate() const {
   auto fail = [](const std::string& what) { throw std::invalid_argument("SimConfig: " + what); };
+  // NaN and +-inf fail every double check.
+  auto positive = [&](double v, const char* name) {
+    if (!(std::isfinite(v) && v > 0)) fail(std::string(name) + " must be finite and > 0");
+  };
+  auto non_negative = [&](double v, const char* name) {
+    if (!(std::isfinite(v) && v >= 0)) fail(std::string(name) + " must be finite and >= 0");
+  };
   if (gpu.num_sms == 0) fail("num_sms must be > 0");
   if (gpu.warps_per_sm == 0) fail("warps_per_sm must be > 0");
-  if (gpu.core_clock_ghz <= 0) fail("core_clock_ghz must be > 0");
-  if (gpu.dram_bandwidth_gbps <= 0) fail("dram_bandwidth_gbps must be > 0");
-  if (xfer.pcie_bandwidth_gbps <= 0) fail("pcie_bandwidth_gbps must be > 0");
-  if (xfer.far_fault_latency_us < 0) fail("far_fault_latency_us must be >= 0");
+  positive(gpu.core_clock_ghz, "core_clock_ghz");
+  positive(gpu.dram_bandwidth_gbps, "dram_bandwidth_gbps");
+  positive(xfer.pcie_bandwidth_gbps, "pcie_bandwidth_gbps");
+  positive(xfer.host_memory_bandwidth_gbps, "host_memory_bandwidth_gbps");
+  non_negative(xfer.far_fault_latency_us, "far_fault_latency_us");
+  non_negative(kernel_launch_overhead_us, "kernel_launch_overhead_us");
+  // <= 0 means "use device_capacity_bytes"; only a non-finite value is wrong.
+  if (!std::isfinite(mem.oversubscription)) fail("oversubscription must be finite");
   if (xfer.fault_batch_max == 0) fail("fault_batch_max must be > 0");
   if (mem.device_capacity_bytes < kLargePageSize)
     fail("device_capacity_bytes must hold at least one 2MB large page");
@@ -91,6 +102,14 @@ void SimConfig::validate() const {
   if (policy.static_threshold == 0) fail("static_threshold (ts) must be >= 1");
   if (policy.migration_penalty == 0) fail("migration_penalty (p) must be >= 1");
   if (audit.interval_events == 0) fail("audit.interval_events must be >= 1");
+}
+
+SimConfig scheme_config(PolicyKind policy) {
+  SimConfig cfg;
+  cfg.policy.policy = policy;
+  cfg.mem.eviction =
+      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
+  return cfg;
 }
 
 std::string describe(const SimConfig& cfg) {

@@ -52,7 +52,6 @@ struct L2ModelConfig {
   bool enabled = false;
   std::uint64_t size_bytes = 2883584;  ///< 2.75 MB (GTX 1080 Ti)
   std::uint32_t ways = 16;
-  Cycle hit_latency = 30;
 };
 
 /// GPU core and shader configuration (GeForce GTX 1080 Ti, Pascal-like).
@@ -223,9 +222,14 @@ struct SimConfig {
     return gpu.num_sms * gpu.warps_per_sm;
   }
 
-  /// Throws std::invalid_argument when a field is out of its legal domain.
+  /// Throws std::invalid_argument when a field is out of its legal domain
+  /// (every double field must also be finite).
   void validate() const;
 };
+
+/// The paper's configuration for one scheme (§VI): Baseline keeps the stock
+/// LRU replacement, every counter-based scheme uses the access-counter LFU.
+[[nodiscard]] SimConfig scheme_config(PolicyKind policy);
 
 /// Human-readable multi-line rendering of the configuration (Table I shape).
 [[nodiscard]] std::string describe(const SimConfig& cfg);

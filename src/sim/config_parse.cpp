@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
+#include <charconv>
+#include <cmath>
 #include <istream>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "check/check.hpp"
 #include "policy/policy_registry.hpp"
 #include "trace/trace_binary.hpp"
 
@@ -15,290 +17,264 @@ namespace uvmsim {
 
 namespace {
 
-std::string trim(const std::string& s) {
+std::string_view trim(std::string_view s) {
   const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
+  if (begin == std::string_view::npos) return {};
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
 }
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  return out;
 }
 
-bool parse_bool(const std::string& key, const std::string& v) {
+// ------------------------------------------------------------ numbers
+
+/// Shift named by a K/KB, M/MB or G/GB multiplier, or -1.
+int suffix_shift(std::string_view s) {
+  const std::string l = lower(s);
+  if (l == "k" || l == "kb") return 10;
+  if (l == "m" || l == "mb") return 20;
+  if (l == "g" || l == "gb") return 30;
+  return -1;
+}
+
+template <typename T>
+bool parse_uint(std::string_view s, T& out) {
+  int base = 10;
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+    base = 16;
+    s.remove_prefix(2);
+  } else if (s.size() > 1 && s[0] == '0' && std::isdigit(static_cast<unsigned char>(s[1]))) {
+    return false;  // "010" once read as octal 8: refuse it rather than read 10
+  }
+  // from_chars takes no sign and no leading space, and fails on overflow.
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v, base);
+  if (ec != std::errc{}) return false;
+  std::string_view rest = s.substr(static_cast<std::size_t>(end - s.data()));
+  int shift = 0;
+  if (!rest.empty()) {
+    rest.remove_prefix(std::min(rest.find_first_not_of(" \t"), rest.size()));
+    shift = suffix_shift(rest);
+    if (shift < 0) return false;
+  }
+  if (v > (std::uint64_t{std::numeric_limits<T>::max()} >> shift)) return false;
+  out = static_cast<T>(v << shift);
+  return true;
+}
+
+bool parse_finite(std::string_view s, double& out) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+// ------------------------------------------------- field parse / print
+
+[[noreturn]] void bad_value(std::string_view what, std::string_view key, std::string_view v) {
+  throw std::invalid_argument("config: bad " + std::string(what) + " for " +
+                              std::string(key) + ": " + std::string(v));
+}
+
+void parse_value(std::uint32_t& field, std::string_view key, std::string_view v) {
+  if (!parse_uint(v, field)) bad_value("integer", key, v);
+}
+
+void parse_value(std::uint64_t& field, std::string_view key, std::string_view v) {
+  if (!parse_uint(v, field)) bad_value("integer", key, v);
+}
+
+void parse_value(double& field, std::string_view key, std::string_view v) {
+  if (!parse_finite(v, field)) bad_value("number", key, v);
+}
+
+void parse_value(bool& field, std::string_view key, std::string_view v) {
   const std::string s = lower(v);
-  if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
-  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  throw std::invalid_argument("config: bad boolean for " + key + ": " + v);
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t out = std::stoull(v, &pos, 0);
-    // Allow unit suffixes KB/MB/GB (powers of two).
-    const std::string suffix = lower(trim(v.substr(pos)));
-    if (suffix.empty()) return out;
-    if (suffix == "kb" || suffix == "k") return out << 10;
-    if (suffix == "mb" || suffix == "m") return out << 20;
-    if (suffix == "gb" || suffix == "g") return out << 30;
-    throw std::invalid_argument("bad suffix");
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad integer for " + key + ": " + v);
+  if (s == "true" || s == "1" || s == "yes" || s == "on") {
+    field = true;
+  } else if (s == "false" || s == "0" || s == "no" || s == "off") {
+    field = false;
+  } else {
+    bad_value("boolean", key, v);
   }
 }
 
-double parse_f64(const std::string& key, const std::string& v) {
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad number for " + key + ": " + v);
-  }
-}
-
-void parse_policy_into(PolicyConfig& pc, const std::string& key, const std::string& v) {
+void parse_value(PolicyConfig& field, std::string_view key, std::string_view v) {
   // Registry lookup (policy/policy_registry.hpp): paper names set the enum,
-  // any other registered slug is recorded in pc.slug.
-  if (!apply_policy_name(pc, v))
-    throw std::invalid_argument("config: bad policy for " + key + ": " + v +
-                                " (registered: " + registered_policy_names() + ")");
+  // any other registered slug is recorded in field.slug.
+  if (!apply_policy_name(field, v))
+    bad_value("policy", key, std::string(v) + " (registered: " + registered_policy_names() + ")");
 }
 
-EvictionKind parse_eviction(const std::string& key, const std::string& v) {
+/// One name table per enum, shared by parsing and printing.
+template <typename E>
+struct EnumName {
+  E value;
+  std::string_view name;
+};
+
+constexpr EnumName<EvictionKind> kEvictionNames[] = {
+    {EvictionKind::kLru, "lru"}, {EvictionKind::kLfu, "lfu"}, {EvictionKind::kTree, "tree"}};
+
+constexpr EnumName<PrefetcherKind> kPrefetcherNames[] = {
+    {PrefetcherKind::kNone, "none"},
+    {PrefetcherKind::kSequential, "sequential"},
+    {PrefetcherKind::kRandom, "random"},
+    {PrefetcherKind::kTree, "tree"}};
+
+template <typename E, std::size_t N>
+void parse_enum(E& field, const EnumName<E> (&names)[N], std::string_view what,
+                std::string_view key, std::string_view v) {
   const std::string s = lower(v);
-  if (s == "lru") return EvictionKind::kLru;
-  if (s == "lfu") return EvictionKind::kLfu;
-  if (s == "tree") return EvictionKind::kTree;
-  throw std::invalid_argument("config: bad eviction for " + key + ": " + v);
+  for (const EnumName<E>& n : names) {
+    if (n.name == s) {
+      field = n.value;
+      return;
+    }
+  }
+  bad_value(what, key, v);
 }
 
-PrefetcherKind parse_prefetcher(const std::string& key, const std::string& v) {
-  const std::string s = lower(v);
-  if (s == "none") return PrefetcherKind::kNone;
-  if (s == "sequential") return PrefetcherKind::kSequential;
-  if (s == "random") return PrefetcherKind::kRandom;
-  if (s == "tree") return PrefetcherKind::kTree;
-  throw std::invalid_argument("config: bad prefetcher for " + key + ": " + v);
+template <typename E, std::size_t N>
+std::string_view enum_name(const EnumName<E> (&names)[N], E value) {
+  for (const EnumName<E>& n : names)
+    if (n.value == value) return n.name;
+  UVM_CHECK(false, "config: out-of-domain enum value " << static_cast<unsigned>(value));
+  return {};  // unreachable; UVM_CHECK throws
 }
 
-using Setter = std::function<void(SimConfig&, const std::string&, const std::string&)>;
-
-const std::map<std::string, Setter>& setters() {
-  static const std::map<std::string, Setter> table{
-      // GPU.
-      {"gpu.num_sms",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.num_sms = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"gpu.warps_per_sm",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.warps_per_sm = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"gpu.core_clock_ghz",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.core_clock_ghz = parse_f64(k, v);
-       }},
-      {"gpu.dram_latency",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.dram_latency = parse_u64(k, v);
-       }},
-      {"gpu.dram_bandwidth_gbps",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.dram_bandwidth_gbps = parse_f64(k, v);
-       }},
-      {"gpu.page_walk_latency",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.page_walk_latency = parse_u64(k, v);
-       }},
-      {"gpu.tlb_entries_per_sm",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.tlb_entries_per_sm = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"gpu.l2.enabled",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.l2.enabled = parse_bool(k, v);
-       }},
-      {"gpu.l2.size_bytes",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.l2.size_bytes = parse_u64(k, v);
-       }},
-      {"gpu.l2.ways",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.gpu.l2.ways = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      // Interconnect.
-      {"xfer.pcie_bandwidth_gbps",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.pcie_bandwidth_gbps = parse_f64(k, v);
-       }},
-      {"xfer.host_memory_bandwidth_gbps",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.host_memory_bandwidth_gbps = parse_f64(k, v);
-       }},
-      {"xfer.pcie_latency",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.pcie_latency = parse_u64(k, v);
-       }},
-      {"xfer.remote_access_latency",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.remote_access_latency = parse_u64(k, v);
-       }},
-      {"xfer.remote_overhead_bytes",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.remote_overhead_bytes = parse_u64(k, v);
-       }},
-      {"xfer.far_fault_latency_us",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.far_fault_latency_us = parse_f64(k, v);
-       }},
-      {"xfer.fault_batch_max",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.fault_batch_max = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"xfer.fault_batch_window",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.xfer.fault_batch_window = parse_u64(k, v);
-       }},
-      // Memory management.
-      {"mem.device_capacity_bytes",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.device_capacity_bytes = parse_u64(k, v);
-       }},
-      {"mem.eviction",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.eviction = parse_eviction(k, v);
-       }},
-      {"mem.prefetcher",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.prefetcher = parse_prefetcher(k, v);
-       }},
-      {"mem.eviction_granularity",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.eviction_granularity = parse_u64(k, v);
-       }},
-      {"mem.eviction_protect_cycles",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.eviction_protect_cycles = parse_u64(k, v);
-       }},
-      {"mem.counter_granularity",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.counter_granularity = parse_u64(k, v);
-       }},
-      {"mem.counter_count_bits",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.counter_count_bits = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"mem.oversubscription",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.oversubscription = parse_f64(k, v);
-       }},
-      {"mem.coalescing",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.coalescing = parse_bool(k, v);
-       }},
-      {"mem.splinter_on_evict",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mem.splinter_on_evict = parse_bool(k, v);
-       }},
-      // Policy.
-      {"policy",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         parse_policy_into(c.policy, k, v);
-       }},
-      {"policy.static_threshold",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.policy.static_threshold = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"policy.migration_penalty",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.policy.migration_penalty = parse_u64(k, v);
-       }},
-      {"policy.write_triggers_migration",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.policy.write_triggers_migration = parse_bool(k, v);
-       }},
-      {"policy.adaptive_write_migrates",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.policy.adaptive_write_migrates = parse_bool(k, v);
-       }},
-      {"policy.historic_counters_override",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.policy.historic_counters_override = parse_bool(k, v);
-       }},
-      // Mitigation.
-      {"mitigation.enabled",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mitigation.enabled = parse_bool(k, v);
-       }},
-      {"mitigation.detect_faults",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mitigation.detect_faults = static_cast<std::uint32_t>(parse_u64(k, v));
-       }},
-      {"mitigation.pin_cooldown",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.mitigation.pin_cooldown = parse_u64(k, v);
-       }},
-      // Invariant auditing.
-      {"audit.enabled",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.audit.enabled = parse_bool(k, v);
-       }},
-      {"audit.interval_events",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.audit.interval_events = parse_u64(k, v);
-       }},
-      {"audit.fail_fast",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.audit.fail_fast = parse_bool(k, v);
-       }},
-      // Misc.
-      {"rng_seed",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.rng_seed = parse_u64(k, v);
-       }},
-      {"copy_then_execute",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.copy_then_execute = parse_bool(k, v);
-       }},
-      {"kernel_launch_overhead_us",
-       [](SimConfig& c, const std::string& k, const std::string& v) {
-         c.kernel_launch_overhead_us = parse_f64(k, v);
-       }},
-  };
-  return table;
+void parse_value(EvictionKind& field, std::string_view key, std::string_view v) {
+  parse_enum(field, kEvictionNames, "eviction", key, v);
 }
+
+void parse_value(PrefetcherKind& field, std::string_view key, std::string_view v) {
+  parse_enum(field, kPrefetcherNames, "prefetcher", key, v);
+}
+
+template <typename T>
+void print_value(std::ostream& os, const T& v) {  // integers and doubles
+  os << v;
+}
+void print_value(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void print_value(std::ostream& os, EvictionKind v) { os << enum_name(kEvictionNames, v); }
+void print_value(std::ostream& os, PrefetcherKind v) { os << enum_name(kPrefetcherNames, v); }
+void print_value(std::ostream& os, const PolicyConfig& v) { os << v.resolved_slug(); }
+
+// ------------------------------------------------------------ key table
+
+struct Key {
+  std::string_view name;
+  void (*parse)(SimConfig&, std::string_view key, std::string_view value);
+  void (*print)(std::ostream&, const SimConfig&);
+};
+
+// Each key is the path of the SimConfig field it sets. The order is the
+// serialization order: changing it changes every config_digest.
+#define UVMSIM_CONFIG_KEY(field)                                                \
+  Key{#field,                                                                   \
+      [](SimConfig& c, std::string_view k, std::string_view v) {                \
+        parse_value(c.field, k, v);                                             \
+      },                                                                        \
+      [](std::ostream& os, const SimConfig& c) { print_value(os, c.field); }}
+
+constexpr Key kKeys[] = {
+    UVMSIM_CONFIG_KEY(gpu.num_sms),
+    UVMSIM_CONFIG_KEY(gpu.warps_per_sm),
+    UVMSIM_CONFIG_KEY(gpu.core_clock_ghz),
+    UVMSIM_CONFIG_KEY(gpu.dram_latency),
+    UVMSIM_CONFIG_KEY(gpu.dram_bandwidth_gbps),
+    UVMSIM_CONFIG_KEY(gpu.page_walk_latency),
+    UVMSIM_CONFIG_KEY(gpu.tlb_entries_per_sm),
+    UVMSIM_CONFIG_KEY(gpu.l2.enabled),
+    UVMSIM_CONFIG_KEY(gpu.l2.size_bytes),
+    UVMSIM_CONFIG_KEY(gpu.l2.ways),
+    UVMSIM_CONFIG_KEY(xfer.pcie_bandwidth_gbps),
+    UVMSIM_CONFIG_KEY(xfer.host_memory_bandwidth_gbps),
+    UVMSIM_CONFIG_KEY(xfer.pcie_latency),
+    UVMSIM_CONFIG_KEY(xfer.remote_access_latency),
+    UVMSIM_CONFIG_KEY(xfer.remote_overhead_bytes),
+    UVMSIM_CONFIG_KEY(xfer.far_fault_latency_us),
+    UVMSIM_CONFIG_KEY(xfer.fault_batch_max),
+    UVMSIM_CONFIG_KEY(xfer.fault_batch_window),
+    UVMSIM_CONFIG_KEY(mem.device_capacity_bytes),
+    UVMSIM_CONFIG_KEY(mem.eviction),
+    UVMSIM_CONFIG_KEY(mem.prefetcher),
+    UVMSIM_CONFIG_KEY(mem.eviction_granularity),
+    UVMSIM_CONFIG_KEY(mem.eviction_protect_cycles),
+    UVMSIM_CONFIG_KEY(mem.counter_granularity),
+    UVMSIM_CONFIG_KEY(mem.counter_count_bits),
+    UVMSIM_CONFIG_KEY(mem.oversubscription),
+    UVMSIM_CONFIG_KEY(mem.coalescing),
+    UVMSIM_CONFIG_KEY(mem.splinter_on_evict),
+    UVMSIM_CONFIG_KEY(policy),
+    UVMSIM_CONFIG_KEY(policy.static_threshold),
+    UVMSIM_CONFIG_KEY(policy.migration_penalty),
+    UVMSIM_CONFIG_KEY(policy.write_triggers_migration),
+    UVMSIM_CONFIG_KEY(policy.adaptive_write_migrates),
+    UVMSIM_CONFIG_KEY(policy.historic_counters_override),
+    UVMSIM_CONFIG_KEY(audit.enabled),
+    UVMSIM_CONFIG_KEY(audit.interval_events),
+    UVMSIM_CONFIG_KEY(audit.fail_fast),
+    UVMSIM_CONFIG_KEY(mitigation.enabled),
+    UVMSIM_CONFIG_KEY(mitigation.detect_faults),
+    UVMSIM_CONFIG_KEY(mitigation.pin_cooldown),
+    UVMSIM_CONFIG_KEY(rng_seed),
+    UVMSIM_CONFIG_KEY(copy_then_execute),
+    UVMSIM_CONFIG_KEY(kernel_launch_overhead_us),
+};
+
+#undef UVMSIM_CONFIG_KEY
 
 }  // namespace
 
-void apply_config_setting(SimConfig& cfg, const std::string& key, const std::string& value) {
-  const std::string k = lower(trim(key));
-  const auto it = setters().find(k);
-  if (it == setters().end()) {
-    throw std::invalid_argument("config: unknown key '" + k + "'");
-  }
-  it->second(cfg, k, trim(value));
+bool parse_u64(const char* s, std::uint64_t& out) {
+  return s != nullptr && parse_uint(s, out);
 }
 
-void apply_config_setting(SimConfig& cfg, const std::string& assignment) {
+bool parse_u32(const char* s, std::uint32_t& out) {
+  return s != nullptr && parse_uint(s, out);
+}
+
+bool parse_unsigned(const char* s, unsigned& out) {
+  return s != nullptr && parse_uint(s, out);
+}
+
+bool parse_double(const char* s, double& out) { return s != nullptr && parse_finite(s, out); }
+
+std::string_view apply_config_setting(SimConfig& cfg, const std::string& key,
+                                      const std::string& value) {
+  const std::string k = lower(trim(key));
+  const auto it = std::find_if(std::begin(kKeys), std::end(kKeys),
+                               [&](const Key& e) { return e.name == k; });
+  if (it == std::end(kKeys)) throw std::invalid_argument("config: unknown key '" + k + "'");
+  it->parse(cfg, it->name, trim(value));
+  return it->name;
+}
+
+std::string_view apply_config_setting(SimConfig& cfg, const std::string& assignment) {
   const auto eq = assignment.find('=');
   if (eq == std::string::npos) {
     throw std::invalid_argument("config: expected key=value, got '" + assignment + "'");
   }
-  apply_config_setting(cfg, assignment.substr(0, eq), assignment.substr(eq + 1));
+  return apply_config_setting(cfg, assignment.substr(0, eq), assignment.substr(eq + 1));
 }
 
-std::size_t load_config_stream(SimConfig& cfg, std::istream& is) {
+std::size_t load_config_stream(SimConfig& cfg, std::istream& is,
+                               std::vector<std::string_view>* keys) {
   std::size_t applied = 0;
   std::string line;
   while (std::getline(is, line)) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    apply_config_setting(cfg, line);
+    if (trim(line).empty()) continue;
+    const std::string_view key = apply_config_setting(cfg, line);
+    if (keys != nullptr) keys->push_back(key);
     ++applied;
   }
   return applied;
@@ -307,78 +283,26 @@ std::size_t load_config_stream(SimConfig& cfg, std::istream& is) {
 std::string to_config_string(const SimConfig& c) {
   std::ostringstream os;
   os.precision(17);
-  auto b = [](bool v) { return v ? "true" : "false"; };
-  const std::string policy = c.policy.resolved_slug();
-  const char* eviction = c.mem.eviction == EvictionKind::kLru   ? "lru"
-                         : c.mem.eviction == EvictionKind::kLfu ? "lfu"
-                                                                : "tree";
-  const char* prefetcher = "tree";
-  switch (c.mem.prefetcher) {
-    case PrefetcherKind::kNone: prefetcher = "none"; break;
-    case PrefetcherKind::kSequential: prefetcher = "sequential"; break;
-    case PrefetcherKind::kRandom: prefetcher = "random"; break;
-    case PrefetcherKind::kTree: prefetcher = "tree"; break;
+  for (const Key& k : kKeys) {
+    os << k.name << " = ";
+    k.print(os, c);
+    os << '\n';
   }
-  os << "gpu.num_sms = " << c.gpu.num_sms << '\n'
-     << "gpu.warps_per_sm = " << c.gpu.warps_per_sm << '\n'
-     << "gpu.core_clock_ghz = " << c.gpu.core_clock_ghz << '\n'
-     << "gpu.dram_latency = " << c.gpu.dram_latency << '\n'
-     << "gpu.dram_bandwidth_gbps = " << c.gpu.dram_bandwidth_gbps << '\n'
-     << "gpu.page_walk_latency = " << c.gpu.page_walk_latency << '\n'
-     << "gpu.tlb_entries_per_sm = " << c.gpu.tlb_entries_per_sm << '\n'
-     << "gpu.l2.enabled = " << b(c.gpu.l2.enabled) << '\n'
-     << "gpu.l2.size_bytes = " << c.gpu.l2.size_bytes << '\n'
-     << "gpu.l2.ways = " << c.gpu.l2.ways << '\n'
-     << "xfer.pcie_bandwidth_gbps = " << c.xfer.pcie_bandwidth_gbps << '\n'
-     << "xfer.host_memory_bandwidth_gbps = " << c.xfer.host_memory_bandwidth_gbps << '\n'
-     << "xfer.pcie_latency = " << c.xfer.pcie_latency << '\n'
-     << "xfer.remote_access_latency = " << c.xfer.remote_access_latency << '\n'
-     << "xfer.remote_overhead_bytes = " << c.xfer.remote_overhead_bytes << '\n'
-     << "xfer.far_fault_latency_us = " << c.xfer.far_fault_latency_us << '\n'
-     << "xfer.fault_batch_max = " << c.xfer.fault_batch_max << '\n'
-     << "xfer.fault_batch_window = " << c.xfer.fault_batch_window << '\n'
-     << "mem.device_capacity_bytes = " << c.mem.device_capacity_bytes << '\n'
-     << "mem.eviction = " << eviction << '\n'
-     << "mem.prefetcher = " << prefetcher << '\n'
-     << "mem.eviction_granularity = " << c.mem.eviction_granularity << '\n'
-     << "mem.eviction_protect_cycles = " << c.mem.eviction_protect_cycles << '\n'
-     << "mem.counter_granularity = " << c.mem.counter_granularity << '\n'
-     << "mem.counter_count_bits = " << c.mem.counter_count_bits << '\n'
-     << "mem.oversubscription = " << c.mem.oversubscription << '\n'
-     << "mem.coalescing = " << b(c.mem.coalescing) << '\n'
-     << "mem.splinter_on_evict = " << b(c.mem.splinter_on_evict) << '\n'
-     << "policy = " << policy << '\n'
-     << "policy.static_threshold = " << c.policy.static_threshold << '\n'
-     << "policy.migration_penalty = " << c.policy.migration_penalty << '\n'
-     << "policy.write_triggers_migration = " << b(c.policy.write_triggers_migration) << '\n'
-     << "policy.adaptive_write_migrates = " << b(c.policy.adaptive_write_migrates) << '\n'
-     << "policy.historic_counters_override = " << b(c.policy.historic_counters_override)
-     << '\n'
-     << "audit.enabled = " << b(c.audit.enabled) << '\n'
-     << "audit.interval_events = " << c.audit.interval_events << '\n'
-     << "audit.fail_fast = " << b(c.audit.fail_fast) << '\n'
-     << "mitigation.enabled = " << b(c.mitigation.enabled) << '\n'
-     << "mitigation.detect_faults = " << c.mitigation.detect_faults << '\n'
-     << "mitigation.pin_cooldown = " << c.mitigation.pin_cooldown << '\n'
-     << "rng_seed = " << c.rng_seed << '\n'
-     << "copy_then_execute = " << b(c.copy_then_execute) << '\n'
-     << "kernel_launch_overhead_us = " << c.kernel_launch_overhead_us << '\n';
   return os.str();
 }
 
 const std::vector<std::string>& config_keys() {
   static const std::vector<std::string> keys = [] {
     std::vector<std::string> v;
-    for (const auto& [k, _] : setters()) v.push_back(k);
+    for (const Key& k : kKeys) v.emplace_back(k.name);
+    std::sort(v.begin(), v.end());
     return v;
   }();
   return keys;
 }
 
 std::uint64_t config_digest(const SimConfig& cfg) {
-  SimConfig canonical = cfg;
-  canonical.collect_traces = false;  // sinks observe; they do not steer
-  const std::string text = to_config_string(canonical);
+  const std::string text = to_config_string(cfg);
   return fnv1a64(text.data(), text.size());
 }
 

@@ -180,7 +180,7 @@ TEST(GpuScheduling, L2HitsStillConsumeIssueSlots) {
   // Lower bound: one issue slot per cycle. Upper bound: the issue port is
   // the only bottleneck, so the run is issue-limited plus one latency tail.
   EXPECT_GE(elapsed, kAccesses);
-  EXPECT_LE(elapsed, kAccesses + 2 * cfg.gpu.l2.hit_latency + 64);
+  EXPECT_LE(elapsed, kAccesses + 2 * kL2HitLatency + 64);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+
 namespace uvmsim {
 namespace {
 
@@ -96,6 +99,34 @@ TEST(ConfigValidation, RejectsZeroPenalty) {
   SimConfig cfg;
   cfg.policy.migration_penalty = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ConfigValidation, RejectsNonFiniteDoubles) {
+  // A NaN compares false with everything, so it slips past a plain `<= 0`
+  // check; every double field must be finite.
+  using Field = double& (*)(SimConfig&);
+  const Field fields[] = {
+      [](SimConfig& c) -> double& { return c.gpu.core_clock_ghz; },
+      [](SimConfig& c) -> double& { return c.gpu.dram_bandwidth_gbps; },
+      [](SimConfig& c) -> double& { return c.xfer.pcie_bandwidth_gbps; },
+      [](SimConfig& c) -> double& { return c.xfer.host_memory_bandwidth_gbps; },
+      [](SimConfig& c) -> double& { return c.xfer.far_fault_latency_us; },
+      [](SimConfig& c) -> double& { return c.mem.oversubscription; },
+      [](SimConfig& c) -> double& { return c.kernel_launch_overhead_us; },
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    for (std::size_t i = 0; i < std::size(fields); ++i) {
+      SCOPED_TRACE(testing::Message() << "field " << i << " = " << v);
+      SimConfig cfg;
+      fields[i](cfg) = v;
+      EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    }
+  }
+  // An oversubscription of <= 0 still means "use device_capacity_bytes".
+  SimConfig cfg;
+  cfg.mem.oversubscription = -1.0;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Config, DescribeMentionsKeyParameters) {

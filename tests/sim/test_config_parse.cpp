@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace uvmsim {
 namespace {
@@ -63,6 +66,18 @@ TEST(ConfigParse, BadValuesThrow) {
   EXPECT_THROW(apply_config_setting(cfg, "gpu.l2.enabled", "perhaps"),
                std::invalid_argument);
   EXPECT_THROW(apply_config_setting(cfg, "no-equals-sign"), std::invalid_argument);
+  // Values the lenient std::stoull/std::stod parser wrapped, truncated or let
+  // through: each would have run a different experiment than was asked for.
+  EXPECT_THROW(apply_config_setting(cfg, "gpu.tlb_entries_per_sm", "-1"), std::invalid_argument);
+  EXPECT_THROW(apply_config_setting(cfg, "gpu.num_sms", "4294967297"), std::invalid_argument);
+  EXPECT_THROW(apply_config_setting(cfg, "mem.oversubscription", "1.25xyz"),
+               std::invalid_argument);
+  EXPECT_THROW(apply_config_setting(cfg, "gpu.core_clock_ghz", "nan"), std::invalid_argument);
+  EXPECT_THROW(apply_config_setting(cfg, "xfer.pcie_bandwidth_gbps", "inf"),
+               std::invalid_argument);
+  EXPECT_THROW(apply_config_setting(cfg, "mem.device_capacity_bytes", "17592186044418MB"),
+               std::invalid_argument);
+  EXPECT_EQ(to_config_string(cfg), to_config_string(SimConfig{}));  // nothing was written
 }
 
 TEST(ConfigParse, FileWithCommentsAndBlanks) {
@@ -128,6 +143,79 @@ TEST(ConfigRoundTrip, DefaultsRoundTripToo) {
   const std::size_t applied = load_config_stream(restored, in);
   EXPECT_GE(applied, 30u);
   EXPECT_EQ(to_config_string(restored), to_config_string(original));
+}
+
+TEST(ConfigRoundTrip, EveryKeyRoundTripsANonDefaultValue) {
+  // One non-default value per key, written the way to_config_string prints
+  // it, so each line is also pinned verbatim.
+  const std::vector<std::pair<std::string, std::string>> settings{
+      {"gpu.num_sms", "14"},
+      {"gpu.warps_per_sm", "8"},
+      {"gpu.core_clock_ghz", "1.5"},
+      {"gpu.dram_latency", "200"},
+      {"gpu.dram_bandwidth_gbps", "242.5"},
+      {"gpu.page_walk_latency", "150"},
+      {"gpu.tlb_entries_per_sm", "32"},
+      {"gpu.l2.enabled", "true"},
+      {"gpu.l2.size_bytes", "1048576"},
+      {"gpu.l2.ways", "8"},
+      {"xfer.pcie_bandwidth_gbps", "31.5"},
+      {"xfer.host_memory_bandwidth_gbps", "30.5"},
+      {"xfer.pcie_latency", "50"},
+      {"xfer.remote_access_latency", "400"},
+      {"xfer.remote_overhead_bytes", "64"},
+      {"xfer.far_fault_latency_us", "22.5"},
+      {"xfer.fault_batch_max", "128"},
+      {"xfer.fault_batch_window", "1000"},
+      {"mem.device_capacity_bytes", "33554432"},
+      {"mem.eviction", "tree"},
+      {"mem.prefetcher", "sequential"},
+      {"mem.eviction_granularity", "65536"},
+      {"mem.eviction_protect_cycles", "1000"},
+      {"mem.counter_granularity", "4096"},
+      {"mem.counter_count_bits", "8"},
+      {"mem.oversubscription", "1.25"},
+      {"mem.coalescing", "true"},
+      {"mem.splinter_on_evict", "true"},
+      {"policy", "adaptive"},
+      {"policy.static_threshold", "16"},
+      {"policy.migration_penalty", "1048576"},
+      {"policy.write_triggers_migration", "false"},
+      {"policy.adaptive_write_migrates", "true"},
+      {"policy.historic_counters_override", "true"},
+      {"audit.enabled", "true"},
+      {"audit.interval_events", "64"},
+      {"audit.fail_fast", "false"},
+      {"mitigation.enabled", "true"},
+      {"mitigation.detect_faults", "5"},
+      {"mitigation.pin_cooldown", "1000"},
+      {"rng_seed", "12345"},
+      {"copy_then_execute", "true"},
+      {"kernel_launch_overhead_us", "7.5"},
+  };
+  std::set<std::string> covered;
+  for (const auto& [key, value] : settings) covered.insert(key);
+  EXPECT_EQ(covered, std::set<std::string>(config_keys().begin(), config_keys().end()));
+
+  const std::string defaults = to_config_string(SimConfig{});
+  for (const auto& [key, value] : settings) {
+    SCOPED_TRACE(key);
+    SimConfig cfg;
+    apply_config_setting(cfg, key, value);
+    const std::string text = to_config_string(cfg);
+    EXPECT_NE(text, defaults);
+    EXPECT_NE(text.find(key + " = " + value + "\n"), std::string::npos);
+    std::istringstream in(text);
+    SimConfig reloaded;
+    load_config_stream(reloaded, in);
+    EXPECT_EQ(to_config_string(reloaded), text);
+  }
+}
+
+TEST(ConfigRoundTrip, DefaultDigestIsStable) {
+  // Trace headers carry this digest; a change here flags every recorded
+  // trace as captured under a different configuration.
+  EXPECT_EQ(config_digest(SimConfig{}), 0xb7418c2799cbf69fULL);
 }
 
 TEST(ConfigParse, ParsedConfigValidates) {

@@ -14,14 +14,6 @@
 
 namespace uvmsim::tools {
 
-inline SimConfig sweep_scheme_cfg(PolicyKind policy) {
-  SimConfig cfg;
-  cfg.policy.policy = policy;
-  cfg.mem.eviction =
-      policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
-  return cfg;
-}
-
 inline std::vector<RunRequest> build_sweep_grid(double scale) {
   WorkloadParams params;
   params.scale = scale;
@@ -41,18 +33,18 @@ inline std::vector<RunRequest> build_sweep_grid(double scale) {
     for (const PolicyKind policy : {PolicyKind::kFirstTouch, PolicyKind::kStaticAlways,
                                     PolicyKind::kStaticOversub, PolicyKind::kAdaptive}) {
       for (const double oversub : {0.0, 1.25, 1.5}) {
-        add(name, sweep_scheme_cfg(policy), oversub);
+        add(name, scheme_config(policy), oversub);
       }
     }
     // Fig 4: ts sweep under Always at 125 %.
     for (const std::uint32_t ts : {16u, 32u}) {
-      SimConfig cfg = sweep_scheme_cfg(PolicyKind::kStaticAlways);
+      SimConfig cfg = scheme_config(PolicyKind::kStaticAlways);
       cfg.policy.static_threshold = ts;
       add(name, cfg, 1.25);
     }
     // Fig 8: penalty sweep under Adaptive at 125 %.
     for (const std::uint64_t p : {2ull, 4ull, 1048576ull}) {
-      SimConfig cfg = sweep_scheme_cfg(PolicyKind::kAdaptive);
+      SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
       cfg.policy.migration_penalty = p;
       add(name, cfg, 1.25);
     }

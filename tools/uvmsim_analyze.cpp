@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "analyze/analysis.hpp"
-#include "flag_parse.hpp"
+#include "sim/config_parse.hpp"
 
 namespace {
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       write_baseline_path = v;
     } else if (arg == "--max-findings") {
       const char* v = value();
-      if (v == nullptr || !uvmsim::tools::parse_u64(v, max_findings)) {
+      if (v == nullptr || !uvmsim::parse_u64(v, max_findings)) {
         std::cerr << "uvmsim-analyze: --max-findings needs a non-negative integer\n" << kUsage;
         return 2;
       }

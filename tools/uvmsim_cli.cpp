@@ -9,16 +9,14 @@
 //   uvmsim --list
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <uvmsim/uvmsim.hpp>
-
-#include "flag_parse.hpp"
 
 namespace {
 
@@ -28,15 +26,8 @@ void usage() {
   std::printf(
       "usage: uvmsim [options]\n"
       "  --workload NAME    backprop|fdtd|hotspot|srad|bfs|nw|ra|sssp (default sssp)\n"
-      "  --policy NAME      any registered policy (default baseline); see --policies\n"
       "  --policies         list registered migration policies and exit\n"
-      "  --eviction NAME    lru|lfu|tree (default: lru for baseline, lfu otherwise)\n"
-      "  --prefetcher NAME  tree|sequential|random|none (default tree)\n"
-      "  --oversub F        working-set/capacity factor; 0 = fits (default 0)\n"
-      "  --capacity-mb N    explicit device capacity (ignored when --oversub > 0)\n"
       "  --scale F          workload footprint scale (default 0.25)\n"
-      "  --ts N             static access counter threshold (default 8)\n"
-      "  -p / --penalty N   multiplicative migration penalty (default 8)\n"
       "  --seed N           workload RNG seed\n"
       "  --iterations N     override workload iteration count\n"
       "  --graph NAME       bfs/sssp input structure: powerlaw|road\n"
@@ -50,24 +41,32 @@ void usage() {
       "  --metrics-interval N  metrics sampling interval in cycles (default 100000)\n"
       "  --chrome-trace FILE  write a Chrome trace-event JSON of the run\n"
       "                     (open in chrome://tracing or ui.perfetto.dev)\n"
-      "  --mitigation       enable nvidia-uvm-style thrash throttling\n"
-      "  --audit            enable the invariant auditor (docs/INVARIANTS.md);\n"
-      "                     tune with --set audit.interval_events=N\n"
       "  --set K=V          set any SimConfig key (repeatable; see --keys)\n"
       "  --config-file F    load key=value settings from a file\n"
       "  --keys             list every settable configuration key\n"
       "  --json             print the result as JSON instead of text\n"
       "  --classify         print the per-allocation hot/cold classification\n"
-      "  --l2               enable the L2 cache model\n"
-      "  --list             list available workloads\n");
-}
-
-std::optional<PrefetcherKind> parse_prefetcher(const std::string& s) {
-  if (s == "tree") return PrefetcherKind::kTree;
-  if (s == "sequential") return PrefetcherKind::kSequential;
-  if (s == "random") return PrefetcherKind::kRandom;
-  if (s == "none") return PrefetcherKind::kNone;
-  return std::nullopt;
+      "  --list             list available workloads\n"
+      "\n"
+      "Shorthands, each for one key; with --set and --config-file they share\n"
+      "one parser, and the last write of a key wins:\n"
+      "  --policy NAME      policy: any registered policy (default baseline);\n"
+      "                     see --policies\n"
+      "  --eviction NAME    mem.eviction: lru|lfu|tree (default: lru for\n"
+      "                     baseline, lfu otherwise)\n"
+      "  --prefetcher NAME  mem.prefetcher: tree|sequential|random|none\n"
+      "                     (default tree)\n"
+      "  --oversub F        mem.oversubscription: working-set/capacity factor;\n"
+      "                     0 = fits (default 0)\n"
+      "  --capacity-mb N    mem.device_capacity_bytes = N MB (ignored when\n"
+      "                     oversubscribed)\n"
+      "  --ts N             policy.static_threshold (default 8)\n"
+      "  -p / --penalty N   policy.migration_penalty (default 8)\n"
+      "  --l2               gpu.l2.enabled = true: the L2 cache model\n"
+      "  --audit            audit.enabled = true: the invariant auditor\n"
+      "                     (docs/INVARIANTS.md)\n"
+      "  --mitigation       mitigation.enabled = true: nvidia-uvm-style thrash\n"
+      "                     throttling\n");
 }
 
 }  // namespace
@@ -77,8 +76,10 @@ int main(int argc, char** argv) {
   SimConfig cfg;
   WorkloadParams params;
   params.scale = 0.25;
-  double oversub = 0.0;
-  bool eviction_set = false;
+  bool eviction_named = false;  // by a shorthand, --set or a config-file line
+  auto note = [&](std::string_view key) {
+    if (key == "mem.eviction") eviction_named = true;
+  };
   bool show_config = false;
   std::string record_path, replay_path;
   std::string metrics_path, chrome_trace_path;
@@ -97,32 +98,25 @@ int main(int argc, char** argv) {
     };
     // Strict numeric operands: a malformed number aborts instead of being
     // atof'd to 0 and silently running the wrong experiment.
-    auto next_double = [&]() -> double {
+    auto next_number = [&](auto& out, auto parse) {
       const char* v = next();
-      double out = 0.0;
-      if (!tools::parse_double(v, out)) {
+      if (!parse(v, out)) {
         std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
         std::exit(2);
       }
-      return out;
     };
-    auto next_u64 = [&]() -> std::uint64_t {
-      const char* v = next();
-      std::uint64_t out = 0;
-      if (!tools::parse_u64(v, out)) {
-        std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
+    // Shorthands, --set and --config-file all write through the one key
+    // table; a rejected value exits 2 with a message naming its key.
+    auto configure = [&](auto write) {
+      try {
+        write();
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-      return out;
     };
-    auto next_u32 = [&]() -> std::uint32_t {
-      const char* v = next();
-      std::uint32_t out = 0;
-      if (!tools::parse_u32(v, out)) {
-        std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
-        std::exit(2);
-      }
-      return out;
+    auto set = [&](const char* key, const std::string& value) {
+      configure([&] { note(apply_config_setting(cfg, key, value)); });
     };
     if (arg == "--help" || arg == "-h") {
       usage();
@@ -135,48 +129,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--workload" || arg == "-w") {
       workload = next();
     } else if (arg == "--policy") {
-      const char* v = next();
-      if (!apply_policy_name(cfg.policy, v)) {
-        std::fprintf(stderr, "unknown policy '%s' (registered: %s)\n", v,
-                     registered_policy_names().c_str());
-        return 2;
-      }
+      set("policy", next());
     } else if (arg == "--policies") {
       for (const PolicyInfo& info : PolicyRegistry::instance().entries()) {
         std::printf("%-10s %s\n", info.slug.c_str(), info.summary.c_str());
       }
       return 0;
     } else if (arg == "--eviction") {
-      const std::string v = next();
-      if (v != "lru" && v != "lfu" && v != "tree") {
-        std::fprintf(stderr, "unknown eviction policy\n");
-        return 2;
-      }
-      cfg.mem.eviction = v == "lru"   ? EvictionKind::kLru
-                         : v == "lfu" ? EvictionKind::kLfu
-                                      : EvictionKind::kTree;
-      eviction_set = true;
+      set("mem.eviction", next());
     } else if (arg == "--prefetcher") {
-      const auto p = parse_prefetcher(next());
-      if (!p) {
-        std::fprintf(stderr, "unknown prefetcher\n");
-        return 2;
-      }
-      cfg.mem.prefetcher = *p;
+      set("mem.prefetcher", next());
     } else if (arg == "--oversub") {
-      oversub = next_double();
+      set("mem.oversubscription", next());
     } else if (arg == "--capacity-mb") {
-      cfg.mem.device_capacity_bytes = next_u64() << 20;
+      set("mem.device_capacity_bytes", std::string(next()) + "MB");
     } else if (arg == "--scale") {
-      params.scale = next_double();
+      next_number(params.scale, parse_double);
     } else if (arg == "--ts") {
-      cfg.policy.static_threshold = next_u32();
+      set("policy.static_threshold", next());
     } else if (arg == "-p" || arg == "--penalty") {
-      cfg.policy.migration_penalty = next_u64();
+      set("policy.migration_penalty", next());
     } else if (arg == "--seed") {
-      params.seed = next_u64();
+      next_number(params.seed, parse_u64);
     } else if (arg == "--iterations") {
-      params.iterations = next_u32();
+      next_number(params.iterations, parse_u32);
     } else if (arg == "--graph") {
       params.graph = next();
     } else if (arg == "--config") {
@@ -188,7 +164,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else if (arg == "--metrics-interval") {
-      metrics_interval = next_u64();
+      next_number(metrics_interval, parse_u64);
       if (metrics_interval == 0) {
         std::fprintf(stderr, "invalid value for --metrics-interval: must be > 0\n");
         return 2;
@@ -196,30 +172,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--chrome-trace") {
       chrome_trace_path = next();
     } else if (arg == "--mitigation") {
-      cfg.mitigation.enabled = true;
+      set("mitigation.enabled", "true");
     } else if (arg == "--audit") {
-      cfg.audit.enabled = true;
+      set("audit.enabled", "true");
     } else if (arg == "--l2") {
-      cfg.gpu.l2.enabled = true;
+      set("gpu.l2.enabled", "true");
     } else if (arg == "--set") {
-      try {
-        apply_config_setting(cfg, next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
+      configure([&] { note(apply_config_setting(cfg, next())); });
     } else if (arg == "--config-file") {
       std::ifstream f(next());
       if (!f) {
         std::fprintf(stderr, "cannot open config file\n");
         return 2;
       }
-      try {
-        load_config_stream(cfg, f);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
+      std::vector<std::string_view> keys;
+      configure([&] { load_config_stream(cfg, f, &keys); });
+      for (const std::string_view key : keys) note(key);
     } else if (arg == "--json") {
       json_output = true;
     } else if (arg == "--classify") {
@@ -235,7 +203,7 @@ int main(int argc, char** argv) {
   }
 
   // Paper convention: Baseline runs stock LRU; counter-based schemes LFU.
-  if (!eviction_set && cfg.policy.resolved_slug() != "baseline") {
+  if (!eviction_named && cfg.policy.resolved_slug() != "baseline") {
     cfg.mem.eviction = EvictionKind::kLfu;
   }
 
@@ -247,8 +215,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    cfg.mem.oversubscription = oversub;
-
     // Resolve the workload: named generator or trace replay.
     std::unique_ptr<Workload> wl;
     if (!replay_path.empty()) {
@@ -332,7 +298,7 @@ int main(int argc, char** argv) {
       // Pure JSON on stdout, no file notices: scripts cmp record vs replay
       // output and parse it.
       std::ostringstream os;
-      write_run_json(os, workload, cfg, oversub, r);
+      write_run_json(os, workload, cfg, cfg.mem.oversubscription, r);
       std::printf("%s", os.str().c_str());
       return 0;
     }

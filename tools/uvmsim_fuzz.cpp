@@ -14,8 +14,8 @@
 #include <string>
 
 #include "check/fuzz.hpp"
-#include "flag_parse.hpp"
 #include "policy/policy_registry.hpp"
+#include "sim/config_parse.hpp"
 
 namespace {
 
@@ -90,12 +90,12 @@ int main(int argc, char** argv) {
       std::fputs(kUsage, stdout);
       return 0;
     } else if (std::strcmp(a, "--seed") == 0) {
-      if (!tools::parse_u64(next(a), opts.seed)) return usage_error("bad --seed", argv[i]);
+      if (!parse_u64(next(a), opts.seed)) return usage_error("bad --seed", argv[i]);
     } else if (std::strcmp(a, "--iters") == 0) {
-      if (!tools::parse_u64(next(a), opts.iterations) || opts.iterations == 0)
+      if (!parse_u64(next(a), opts.iterations) || opts.iterations == 0)
         return usage_error("bad --iters", argv[i]);
     } else if (std::strcmp(a, "--jobs") == 0) {
-      if (!tools::parse_unsigned(next(a), opts.jobs)) return usage_error("bad --jobs", argv[i]);
+      if (!parse_unsigned(next(a), opts.jobs)) return usage_error("bad --jobs", argv[i]);
     } else if (std::strcmp(a, "--policy") == 0) {
       const char* v = next(a);
       PolicyConfig probe;
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
       }
       opts.policy_slug = v;
     } else if (std::strcmp(a, "--max-findings") == 0) {
-      if (!tools::parse_u64(next(a), opts.max_findings))
+      if (!parse_u64(next(a), opts.max_findings))
         return usage_error("bad --max-findings", argv[i]);
     } else if (std::strcmp(a, "--inject") == 0) {
       const char* v = next(a);

@@ -21,7 +21,6 @@
 
 #include <uvmsim/uvmsim.hpp>
 
-#include "flag_parse.hpp"
 #include "report/run_csv.hpp"
 #include "sweep_grid.hpp"
 
@@ -65,12 +64,12 @@ int main(int argc, char** argv) {
       if (value == nullptr) return usage_error("--out", nullptr);
       out_path = argv[++i];
     } else if (arg == "--scale") {
-      // Strict parse (tools/flag_parse.hpp): atof would map garbage to 0.
-      if (value == nullptr || !tools::parse_double(value, scale) || scale <= 0.0)
+      // Strict parse (sim/config_parse.hpp): atof would map garbage to 0.
+      if (value == nullptr || !parse_double(value, scale) || scale <= 0.0)
         return usage_error("--scale", value);
       ++i;
     } else if (arg == "--jobs") {
-      if (value == nullptr || !tools::parse_unsigned(value, jobs) || jobs == 0 ||
+      if (value == nullptr || !parse_unsigned(value, jobs) || jobs == 0 ||
           jobs > 1u << 20)
         return usage_error("--jobs", value);
       ++i;

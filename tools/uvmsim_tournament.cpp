@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "check/tournament.hpp"
-#include "flag_parse.hpp"
 #include "policy/policy_registry.hpp"
+#include "sim/config_parse.hpp"
 
 namespace {
 
@@ -75,12 +75,12 @@ int main(int argc, char** argv) {
       std::fputs(kUsage, stdout);
       return 0;
     } else if (std::strcmp(a, "--seed") == 0) {
-      if (!tools::parse_u64(next(a), opts.seed)) return usage_error("bad --seed", argv[i]);
+      if (!parse_u64(next(a), opts.seed)) return usage_error("bad --seed", argv[i]);
     } else if (std::strcmp(a, "--scenarios") == 0) {
-      if (!tools::parse_u64(next(a), opts.scenarios) || opts.scenarios == 0)
+      if (!parse_u64(next(a), opts.scenarios) || opts.scenarios == 0)
         return usage_error("bad --scenarios", argv[i]);
     } else if (std::strcmp(a, "--jobs") == 0) {
-      if (!tools::parse_unsigned(next(a), opts.jobs)) return usage_error("bad --jobs", argv[i]);
+      if (!parse_unsigned(next(a), opts.jobs)) return usage_error("bad --jobs", argv[i]);
     } else if (std::strcmp(a, "--policies") == 0) {
       opts.policies = split_csv(next(a));
       if (opts.policies.empty()) return usage_error("bad --policies", argv[i]);
