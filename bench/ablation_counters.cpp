@@ -18,24 +18,24 @@ int main() {
 
   for (const auto& name : workload_names()) {
     const auto base = static_cast<double>(
-        run(name, make_cfg(PolicyKind::kFirstTouch), 1.25).stats.kernel_cycles);
+        run(name, scheme_config(PolicyKind::kFirstTouch), 1.25).stats.kernel_cycles);
     std::vector<double> row;
 
     // (a) counter granularity under Adaptive.
     for (const std::uint64_t gran : {kBasicBlockSize, kPageSize}) {
-      SimConfig cfg = make_cfg(PolicyKind::kAdaptive);
+      SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
       cfg.mem.counter_granularity = gran;
       row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
     }
     // (b) counter maintenance under Always.
     for (const bool historic : {false, true}) {
-      SimConfig cfg = make_cfg(PolicyKind::kStaticAlways);
+      SimConfig cfg = scheme_config(PolicyKind::kStaticAlways);
       cfg.policy.historic_counters_override = historic;
       row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
     }
     // (c) write handling under Adaptive.
     for (const bool write_migrates : {false, true}) {
-      SimConfig cfg = make_cfg(PolicyKind::kAdaptive);
+      SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
       cfg.policy.adaptive_write_migrates = write_migrates;
       row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
     }

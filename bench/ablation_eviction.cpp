@@ -17,7 +17,7 @@ int main() {
   };
 
   for (const auto& name : workload_names()) {
-    SimConfig ref_cfg = make_cfg(PolicyKind::kFirstTouch);
+    SimConfig ref_cfg = scheme_config(PolicyKind::kFirstTouch);
     ref_cfg.mem.eviction = EvictionKind::kLru;
     const auto ref =
         static_cast<double>(run(name, ref_cfg, 1.25).stats.kernel_cycles);
@@ -26,7 +26,7 @@ int main() {
     for (const auto& [label, kind] : policies) {
       for (const EvictionKind ev :
            {EvictionKind::kLru, EvictionKind::kLfu, EvictionKind::kTree}) {
-        SimConfig cfg = make_cfg(kind);
+        SimConfig cfg = scheme_config(kind);
         cfg.mem.eviction = ev;
         const RunResult r = run(name, cfg, 1.25);
         const char* ev_name = ev == EvictionKind::kLru   ? "lru"

@@ -14,8 +14,8 @@ int main() {
   for (const auto& name : {"fdtd", "bfs", "ra", "sssp"}) {
     std::vector<double> row;
     for (int variant = 0; variant < 3; ++variant) {
-      SimConfig base = make_cfg(PolicyKind::kFirstTouch);
-      SimConfig adaptive = make_cfg(PolicyKind::kAdaptive);
+      SimConfig base = scheme_config(PolicyKind::kFirstTouch);
+      SimConfig adaptive = scheme_config(PolicyKind::kAdaptive);
       if (variant == 1) {
         base.gpu.l2.enabled = true;
         adaptive.gpu.l2.enabled = true;

@@ -13,11 +13,11 @@ int main() {
   print_row_header({"Baseline", "throttle", "Adaptive", "thr_remote"});
 
   for (const auto& name : workload_names()) {
-    const RunResult base = run(name, make_cfg(PolicyKind::kFirstTouch), 1.25);
-    SimConfig throttled = make_cfg(PolicyKind::kFirstTouch);
+    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
+    SimConfig throttled = scheme_config(PolicyKind::kFirstTouch);
     throttled.mitigation.enabled = true;
     const RunResult mitigated = run(name, throttled, 1.25);
-    const RunResult adaptive = run(name, make_cfg(PolicyKind::kAdaptive), 1.25);
+    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
 
     const auto b = static_cast<double>(base.stats.kernel_cycles);
     print_row(name,

@@ -29,7 +29,7 @@ int main() {
       double ref = 0;
       std::uint64_t tree_pref_bytes = 0;
       for (const auto& [label, kind] : prefetchers) {
-        SimConfig cfg = make_cfg(PolicyKind::kFirstTouch);
+        SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
         cfg.mem.prefetcher = kind;
         const RunResult r = run(name, cfg, oversub);
         const auto cycles = static_cast<double>(r.stats.kernel_cycles);

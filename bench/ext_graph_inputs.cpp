@@ -21,8 +21,8 @@ int main() {
       params.scale = kScale;
       params.graph = graph;
 
-      SimConfig base_cfg = make_cfg(PolicyKind::kFirstTouch);
-      SimConfig adpt_cfg = make_cfg(PolicyKind::kAdaptive);
+      SimConfig base_cfg = scheme_config(PolicyKind::kFirstTouch);
+      SimConfig adpt_cfg = scheme_config(PolicyKind::kAdaptive);
 
       const RunResult fits = run_workload(app, base_cfg, 0.0, params);
       const RunResult base = run_workload(app, base_cfg, 1.25, params);

@@ -21,7 +21,7 @@ int main() {
     double ref = 0.0;
     std::vector<double> row;
     auto one = [&](PolicyKind policy, std::uint32_t gpus, bool peer) {
-      SimConfig cfg = make_cfg(policy);
+      SimConfig cfg = scheme_config(policy);
       cfg.mem.oversubscription = 1.25;
       auto wl = make_workload(name, params);
       MultiGpuConfig mg{gpus, /*split_capacity=*/true};

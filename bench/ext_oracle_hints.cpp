@@ -37,10 +37,10 @@ int main() {
   params.scale = kScale;
 
   for (const auto& [name, cold] : oracle_cold_sets()) {
-    const RunResult base = run(name, make_cfg(PolicyKind::kFirstTouch), 1.25);
+    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
 
     // Oracle: baseline driver + hand-placed AccessedBy hints.
-    SimConfig oracle_cfg = make_cfg(PolicyKind::kFirstTouch);
+    SimConfig oracle_cfg = scheme_config(PolicyKind::kFirstTouch);
     oracle_cfg.mem.oversubscription = 1.25;
     auto wl = make_workload(name, params);
     Simulator oracle_sim(oracle_cfg);
@@ -55,7 +55,7 @@ int main() {
     };
     const RunResult oracle = oracle_sim.run(*wl, oracle_opts);
 
-    const RunResult adaptive = run(name, make_cfg(PolicyKind::kAdaptive), 1.25);
+    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
 
     const auto b = static_cast<double>(base.stats.kernel_cycles);
     print_row(name, {1.0, static_cast<double>(oracle.stats.kernel_cycles) / b,

@@ -21,9 +21,9 @@ int main() {
 
   for (const auto& name : irregular_names()) {
     const auto base = kernel_cycles_across_seeds(
-        name, make_cfg(PolicyKind::kFirstTouch), 1.25, params, kSeeds);
+        name, scheme_config(PolicyKind::kFirstTouch), 1.25, params, kSeeds);
     const auto adpt = kernel_cycles_across_seeds(
-        name, make_cfg(PolicyKind::kAdaptive), 1.25, params, kSeeds);
+        name, scheme_config(PolicyKind::kAdaptive), 1.25, params, kSeeds);
     std::vector<double> ratios;
     for (std::size_t i = 0; i < kSeeds; ++i) ratios.push_back(adpt[i] / base[i]);
     const SampleStats s = summarize_samples(ratios);

@@ -12,10 +12,10 @@ int main() {
   print_row_header({"Baseline", "Always", "Oversub", "Adaptive"});
 
   for (const auto& name : extra_workload_names()) {
-    const RunResult base = run(name, make_cfg(PolicyKind::kFirstTouch), 1.25);
-    const RunResult always = run(name, make_cfg(PolicyKind::kStaticAlways), 1.25);
-    const RunResult oversub = run(name, make_cfg(PolicyKind::kStaticOversub), 1.25);
-    const RunResult adaptive = run(name, make_cfg(PolicyKind::kAdaptive), 1.25);
+    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
+    const RunResult always = run(name, scheme_config(PolicyKind::kStaticAlways), 1.25);
+    const RunResult oversub = run(name, scheme_config(PolicyKind::kStaticOversub), 1.25);
+    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
     const auto b = static_cast<double>(base.stats.kernel_cycles);
     print_row(name, {1.0, static_cast<double>(always.stats.kernel_cycles) / b,
                      static_cast<double>(oversub.stats.kernel_cycles) / b,
@@ -24,8 +24,8 @@ int main() {
 
   std::printf("\nNo-oversubscription parity check (Adaptive vs Baseline, fits):\n");
   for (const auto& name : extra_workload_names()) {
-    const RunResult base = run(name, make_cfg(PolicyKind::kFirstTouch), 0.0);
-    const RunResult adaptive = run(name, make_cfg(PolicyKind::kAdaptive), 0.0);
+    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 0.0);
+    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 0.0);
     std::printf("  %-10s %.3f\n", name.c_str(),
                 static_cast<double>(adaptive.stats.kernel_cycles) /
                     static_cast<double>(base.stats.kernel_cycles));

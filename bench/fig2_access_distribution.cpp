@@ -15,7 +15,7 @@ void characterize(const std::string& name) {
 
   WorkloadParams params;
   params.scale = kScale;
-  SimConfig cfg = make_cfg(PolicyKind::kFirstTouch);
+  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
   cfg.collect_traces = true;
 
   AddressSpace sizing;

@@ -27,7 +27,7 @@ struct LaunchSummary {
 void characterize(const std::string& name) {
   WorkloadParams params;
   params.scale = kScale;
-  SimConfig cfg = make_cfg(PolicyKind::kFirstTouch);
+  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
   cfg.collect_traces = true;
 
   TimeSeriesSampler ts(/*stride=*/32);

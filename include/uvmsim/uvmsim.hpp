@@ -34,6 +34,7 @@
 #include "policy/migration_policy.hpp"
 #include "policy/policy_registry.hpp"
 #include "prefetch/prefetcher.hpp"
+#include "report/figures.hpp"
 #include "report/run_csv.hpp"
 #include "report/run_json.hpp"
 #include "report/table.hpp"

@@ -34,6 +34,19 @@ for preset in "${presets[@]}"; do
       --oversub 1.3333 --scale 0.1 --audit | grep '^audit:'
 done
 
+# Fig contract (src/report/figures.hpp): Figs 1 and 4-8 are slices of the
+# evaluation sweep. A full-scale sweep run in an empty directory must write
+# their twelve files (.csv and .log each) byte-identical to artifacts/.
+echo "==> fig contract (uvmsim-sweep --scale 1.0 vs artifacts/)"
+figdir=$(mktemp -d)
+sweep=$PWD/build/tools/uvmsim-sweep
+(cd "$figdir" && "$sweep" --scale 1.0 --jobs "$jobs" --out sweep.csv > /dev/null)
+for f in artifacts/fig{1,4,5,6,7,8}_*.{csv,log}; do
+  cmp "$f" "$figdir/${f#artifacts/}" || { echo "the sweep's ${f#artifacts/} differs from $f"; exit 1; }
+done
+rm -rf "$figdir"
+echo "fig contract: the twelve figure files match artifacts/"
+
 # Bench verdict (docs/PERF.md): the judging step of scripts/bench.sh on
 # synthetic saved results, so it needs no second build. The 'slow' set moves
 # a higher-is-better, a lower-is-better and a 10 %-bound metric past their
@@ -144,8 +157,9 @@ cmp /tmp/uvmsim_obs_plain.json /tmp/uvmsim_obs.json || {
   echo "observed run's --json output differs from the unobserved run's"; exit 1; }
 
 # Config boundary (sim/config_parse.hpp): a shorthand flag and --set of its
-# key run the same experiment, and a value its key cannot hold exits 2 with
-# a message naming the key instead of running something else.
+# key run the same experiment, and a value its key cannot hold, or one that
+# SimConfig::validate() rejects, exits 2 with a message naming the key
+# instead of running something else.
 echo "==> config boundary (shorthand == --set, hostile values rc=2)"
 same_run() {  # WHAT, then the two argument lists separated by --
   local what=$1 a=() b=(); shift
@@ -160,7 +174,8 @@ same_run "--set mem.eviction=lru ran differently from --eviction lru" \
     --policy adaptive --set mem.eviction=lru -- --policy adaptive --eviction lru
 for kv in gpu.tlb_entries_per_sm=-1 gpu.num_sms=4294967297 \
           mem.oversubscription=1.25xyz gpu.core_clock_ghz=nan \
-          xfer.pcie_bandwidth_gbps=inf mem.device_capacity_bytes=17592186044418MB; do
+          xfer.pcie_bandwidth_gbps=inf mem.device_capacity_bytes=17592186044418MB \
+          gpu.num_sms=0 mem.device_capacity_bytes=0 kernel_launch_overhead_us=-5; do
   rc=0
   build/tools/uvmsim --workload bfs --scale 0.05 --set "$kv" \
       > /dev/null 2> /tmp/uvmsim_cfg_err.txt || rc=$?

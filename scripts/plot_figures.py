@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Plot the paper's figures from the CSV artifacts the benches emit.
+"""Plot the paper's figures from their CSV artifacts.
 
 Usage:
-    # after running the fig benches (they drop figN_*.csv in the cwd):
+    # after a sweep, which writes Figs 1 and 4-8 as figN_*.csv to the cwd
+    # (build/tools/uvmsim-sweep; artifacts/ holds the scale-1.0 copies):
     python3 scripts/plot_figures.py [--dir DIR] [--out DIR]
 
 Produces one PNG per available figure CSV. Requires matplotlib; degrades to
@@ -127,8 +128,8 @@ def main():
             text_summary(name, rows)
     if found == 0:
         print(
-            "no figure CSVs found — run the bench binaries first "
-            "(for b in build/bench/fig*; do $b; done)",
+            "no figure CSVs found — run build/tools/uvmsim-sweep first, "
+            "or pass --dir artifacts",
             file=sys.stderr,
         )
         return 1

@@ -127,10 +127,8 @@ class RegistryHygieneRule final : public Rule {
   }
 
   void check_policy_docs(const Corpus& corpus, std::vector<Finding>& out) const {
-    // Slugs registered in src/policy/: `<registry>.add({"slug", ...})` and
-    // static `PolicyRegistrar{"slug", ...}` registrations.
+    // Slugs registered in src/policy/: `<registry>.add({"slug", ...})`.
     std::map<std::string, std::pair<std::string, int>> slugs;  // slug -> (file, line)
-    bool saw_registration_site = false;
     for (const SourceFile& file : corpus.files) {
       if (!starts_with(file.path, "src/policy/")) continue;
       const std::vector<Token>& toks = file.tokens;
@@ -138,22 +136,10 @@ class RegistryHygieneRule final : public Rule {
         if (toks[i].text == "add" && toks[i + 1].text == "(" && toks[i + 2].text == "{" &&
             toks[i + 3].kind == TokenKind::kString) {
           slugs.try_emplace(toks[i + 3].text, std::make_pair(file.path, toks[i + 3].line));
-          saw_registration_site = true;
-          continue;
-        }
-        // `PolicyRegistrar kReg{"slug", ...}` / `PolicyRegistrar{"slug", ...}`.
-        if (toks[i].text == "PolicyRegistrar") {
-          std::size_t j = i + 1;
-          if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier) ++j;
-          if (j + 1 < toks.size() && (toks[j].text == "{" || toks[j].text == "(") &&
-              toks[j + 1].kind == TokenKind::kString) {
-            slugs.try_emplace(toks[j + 1].text, std::make_pair(file.path, toks[j + 1].line));
-            saw_registration_site = true;
-          }
         }
       }
     }
-    if (!saw_registration_site) return;  // fixture corpus without the policy layer
+    if (slugs.empty()) return;  // fixture corpus without the policy layer
 
     const std::string* doc = corpus.extra(kPoliciesDoc);
     if (doc == nullptr) {

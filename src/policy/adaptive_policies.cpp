@@ -61,22 +61,29 @@ MigrationDecision LearnedTablePolicy::decide(const PolicyFeatures& f) {
   return migrate ? MigrationDecision::kMigrate : MigrationDecision::kRemoteAccess;
 }
 
+namespace {
+
+std::unique_ptr<MigrationPolicy> make_tuned(const PolicyConfig& cfg) {
+  return std::make_unique<TunedThresholdPolicy>(cfg.static_threshold,
+                                                cfg.write_triggers_migration);
+}
+
+std::unique_ptr<MigrationPolicy> make_learned(const PolicyConfig& cfg) {
+  return std::make_unique<LearnedTablePolicy>(cfg.static_threshold, cfg.migration_penalty,
+                                              cfg.write_triggers_migration);
+}
+
+}  // namespace
+
 void register_adaptive_policies(PolicyRegistry& registry) {
   registry.add({"tuned",
                 "hill-climbing threshold tuner: first-touch until oversubscribed, then "
                 "re-tunes ts per epoch by windowed fault-service cost",
-                [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-                  return std::make_unique<TunedThresholdPolicy>(
-                      cfg.static_threshold, cfg.write_triggers_migration);
-                }});
+                make_tuned});
   registry.add({"learned",
                 "table-based learned predictor: per-(round_trips, occupancy, fault-rate) "
                 "bucket thresholds hardened online by observed thrash",
-                [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-                  return std::make_unique<LearnedTablePolicy>(
-                      cfg.static_threshold, cfg.migration_penalty,
-                      cfg.write_triggers_migration);
-                }});
+                make_learned});
 }
 
 }  // namespace uvmsim

@@ -17,31 +17,37 @@ std::string lower_copy(std::string_view s) {
   return out;
 }
 
+std::unique_ptr<MigrationPolicy> make_baseline(const PolicyConfig&) {
+  return std::make_unique<FirstTouchPolicy>();
+}
+
+std::unique_ptr<MigrationPolicy> make_always(const PolicyConfig& cfg) {
+  return std::make_unique<StaticThresholdPolicy>(
+      cfg.static_threshold, cfg.write_triggers_migration, /*gate_on_oversub=*/false);
+}
+
+std::unique_ptr<MigrationPolicy> make_oversub(const PolicyConfig& cfg) {
+  return std::make_unique<StaticThresholdPolicy>(
+      cfg.static_threshold, cfg.write_triggers_migration, /*gate_on_oversub=*/true);
+}
+
+std::unique_ptr<MigrationPolicy> make_adaptive(const PolicyConfig& cfg) {
+  return std::make_unique<AdaptivePolicy>(cfg.static_threshold, cfg.migration_penalty,
+                                          cfg.adaptive_write_migrates);
+}
+
 /// The four paper schemes plus the in-tree online-adaptive policies.
 /// Explicitly invoked from instance() — a self-registering static in a
 /// static library would be dead-stripped by the linker.
 void register_builtin_policies(PolicyRegistry& r) {
-  r.add({"baseline", "migrate on first touch (paper Baseline / \"Disabled\")",
-         [](const PolicyConfig&) -> std::unique_ptr<MigrationPolicy> {
-           return std::make_unique<FirstTouchPolicy>();
-         }});
+  r.add({"baseline", "migrate on first touch (paper Baseline / \"Disabled\")", make_baseline});
   r.add({"always", "static access-counter threshold ts from the start (paper \"Always\")",
-         [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-           return std::make_unique<StaticThresholdPolicy>(
-               cfg.static_threshold, cfg.write_triggers_migration, /*gate_on_oversub=*/false);
-         }});
+         make_always});
   r.add({"oversub",
          "first-touch until the device first fills, threshold ts afterwards (paper "
          "\"Oversub\")",
-         [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-           return std::make_unique<StaticThresholdPolicy>(
-               cfg.static_threshold, cfg.write_triggers_migration, /*gate_on_oversub=*/true);
-         }});
-  r.add({"adaptive", "dynamic threshold td per Equation 1 (this paper)",
-         [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-           return std::make_unique<AdaptivePolicy>(cfg.static_threshold, cfg.migration_penalty,
-                                                   cfg.adaptive_write_migrates);
-         }});
+         make_oversub});
+  r.add({"adaptive", "dynamic threshold td per Equation 1 (this paper)", make_adaptive});
   register_adaptive_policies(r);
 }
 
@@ -87,10 +93,6 @@ std::unique_ptr<MigrationPolicy> PolicyRegistry::make(const PolicyConfig& cfg) c
     throw std::invalid_argument("unknown policy '" + slug +
                                 "' (registered: " + registered_policy_names() + ")");
   return info->make(cfg);
-}
-
-PolicyRegistrar::PolicyRegistrar(std::string slug, std::string summary, PolicyFactory make) {
-  PolicyRegistry::instance().add({std::move(slug), std::move(summary), std::move(make)});
 }
 
 bool apply_policy_name(PolicyConfig& cfg, std::string_view name) {

@@ -3,17 +3,9 @@
 // The registry replaces the old hard-coded PolicyKind switch: every policy —
 // the four paper schemes and any experimental one — is constructed by name
 // through `PolicyRegistry::instance().make(cfg)`, and the CLIs/config parser
-// resolve user-supplied names with `apply_policy_name()`. New policies
-// register either from `register_builtin_policies()` (in-tree) or by a
-// static `PolicyRegistrar` object (out-of-tree / tests):
-//
-//   namespace {
-//   const uvmsim::PolicyRegistrar kReg{
-//       "my-policy", "one-line summary",
-//       [](const uvmsim::PolicyConfig& cfg) {
-//         return std::make_unique<MyPolicy>(cfg.static_threshold);
-//       }};
-//   }  // namespace
+// resolve user-supplied names with `apply_policy_name()`. In-tree policies
+// register from `register_builtin_policies()`; code outside the tree calls
+// `PolicyRegistry::instance().add()` before its first lookup.
 //
 // Determinism: the registry is append-only after first use and iterated in
 // registration order; `slugs()` returns a sorted copy for stable artifacts.
@@ -63,12 +55,6 @@ class PolicyRegistry {
 
  private:
   std::vector<PolicyInfo> entries_;
-};
-
-/// Registers a policy on construction; declare one at namespace scope in the
-/// translation unit defining the policy.
-struct PolicyRegistrar {
-  PolicyRegistrar(std::string slug, std::string summary, PolicyFactory make);
 };
 
 /// Resolve a user-supplied policy name into `cfg`: the paper schemes

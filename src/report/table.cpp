@@ -1,6 +1,5 @@
 #include "report/table.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -38,27 +37,6 @@ void Table::validate() const {
   }
 }
 
-std::string Table::to_text() const {
-  validate();
-  std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < r.size(); ++c) widths[c] = std::max(widths[c], r[c].size());
-  }
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << (c == 0 ? "" : "  ") << std::setw(static_cast<int>(widths[c]))
-         << (c == 0 ? std::left : std::right) << cells[c];
-      os << std::right;
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 namespace {
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -83,22 +61,6 @@ std::string Table::to_csv() const {
     os << '\n';
   };
   emit(headers_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
-std::string Table::to_markdown() const {
-  validate();
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    os << '|';
-    for (const auto& c : cells) os << ' ' << c << " |";
-    os << '\n';
-  };
-  emit(headers_);
-  os << '|';
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
   for (const auto& r : rows_) emit(r);
   return os.str();
 }

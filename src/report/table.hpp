@@ -1,6 +1,6 @@
 // Small result-table builder: collects labelled rows and renders them as
-// aligned text, CSV, or Markdown. Used by the sweep tool and available to
-// downstream users for their own experiment harnesses.
+// CSV. The figure CSVs (report/figures.hpp) go through it, and downstream
+// users can use it for their own experiment harnesses.
 #pragma once
 
 #include <cstdint>
@@ -16,18 +16,11 @@ class Table {
   /// Start a new row; fill it with the chained cell() calls.
   Table& row();
   Table& cell(const std::string& v);
-  Table& cell(const char* v) { return cell(std::string(v)); }
   Table& cell(double v, int precision = 3);
   Table& cell(std::uint64_t v);
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_cols() const noexcept { return headers_.size(); }
-
-  /// Rendering. to_text aligns columns; to_csv quotes cells containing
-  /// commas/quotes; to_markdown emits a GitHub-style pipe table.
-  [[nodiscard]] std::string to_text() const;
+  /// The header line, then one line per row; quotes cells with , " or \n.
   [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] std::string to_markdown() const;
 
   /// Throws std::logic_error if any row has a different arity than the
   /// header (call before rendering when assembling dynamically).

@@ -68,39 +68,40 @@ double SimConfig::dram_bytes_per_cycle() const noexcept {
 }
 
 void SimConfig::validate() const {
-  auto fail = [](const std::string& what) { throw std::invalid_argument("SimConfig: " + what); };
+  // Each message names its field by its configuration key (--keys).
+  auto fail = [](const std::string& what) { throw std::invalid_argument("config: " + what); };
   // NaN and +-inf fail every double check.
-  auto positive = [&](double v, const char* name) {
-    if (!(std::isfinite(v) && v > 0)) fail(std::string(name) + " must be finite and > 0");
+  auto positive = [&](double v, const char* key) {
+    if (!(std::isfinite(v) && v > 0)) fail(std::string(key) + " must be finite and > 0");
   };
-  auto non_negative = [&](double v, const char* name) {
-    if (!(std::isfinite(v) && v >= 0)) fail(std::string(name) + " must be finite and >= 0");
+  auto non_negative = [&](double v, const char* key) {
+    if (!(std::isfinite(v) && v >= 0)) fail(std::string(key) + " must be finite and >= 0");
   };
-  if (gpu.num_sms == 0) fail("num_sms must be > 0");
-  if (gpu.warps_per_sm == 0) fail("warps_per_sm must be > 0");
-  positive(gpu.core_clock_ghz, "core_clock_ghz");
-  positive(gpu.dram_bandwidth_gbps, "dram_bandwidth_gbps");
-  positive(xfer.pcie_bandwidth_gbps, "pcie_bandwidth_gbps");
-  positive(xfer.host_memory_bandwidth_gbps, "host_memory_bandwidth_gbps");
-  non_negative(xfer.far_fault_latency_us, "far_fault_latency_us");
+  if (gpu.num_sms == 0) fail("gpu.num_sms must be > 0");
+  if (gpu.warps_per_sm == 0) fail("gpu.warps_per_sm must be > 0");
+  positive(gpu.core_clock_ghz, "gpu.core_clock_ghz");
+  positive(gpu.dram_bandwidth_gbps, "gpu.dram_bandwidth_gbps");
+  positive(xfer.pcie_bandwidth_gbps, "xfer.pcie_bandwidth_gbps");
+  positive(xfer.host_memory_bandwidth_gbps, "xfer.host_memory_bandwidth_gbps");
+  non_negative(xfer.far_fault_latency_us, "xfer.far_fault_latency_us");
   non_negative(kernel_launch_overhead_us, "kernel_launch_overhead_us");
   // <= 0 means "use device_capacity_bytes"; only a non-finite value is wrong.
-  if (!std::isfinite(mem.oversubscription)) fail("oversubscription must be finite");
-  if (xfer.fault_batch_max == 0) fail("fault_batch_max must be > 0");
+  if (!std::isfinite(mem.oversubscription)) fail("mem.oversubscription must be finite");
+  if (xfer.fault_batch_max == 0) fail("xfer.fault_batch_max must be > 0");
   if (mem.device_capacity_bytes < kLargePageSize)
-    fail("device_capacity_bytes must hold at least one 2MB large page");
+    fail("mem.device_capacity_bytes must hold at least one 2MB large page");
   if (mem.device_capacity_bytes % kBasicBlockSize != 0)
-    fail("device_capacity_bytes must be a multiple of the 64KB basic block");
+    fail("mem.device_capacity_bytes must be a multiple of the 64KB basic block");
   if (mem.eviction_granularity != kLargePageSize &&
       mem.eviction_granularity != kBasicBlockSize)
-    fail("eviction_granularity must be 2MB or 64KB");
+    fail("mem.eviction_granularity must be 2MB or 64KB");
   if (mem.counter_granularity != kBasicBlockSize &&
       mem.counter_granularity != kPageSize)
-    fail("counter_granularity must be 64KB or 4KB");
+    fail("mem.counter_granularity must be 64KB or 4KB");
   if (mem.counter_count_bits < 8 || mem.counter_count_bits > 30)
-    fail("counter_count_bits must be in [8, 30]");
-  if (policy.static_threshold == 0) fail("static_threshold (ts) must be >= 1");
-  if (policy.migration_penalty == 0) fail("migration_penalty (p) must be >= 1");
+    fail("mem.counter_count_bits must be in [8, 30]");
+  if (policy.static_threshold == 0) fail("policy.static_threshold (ts) must be >= 1");
+  if (policy.migration_penalty == 0) fail("policy.migration_penalty (p) must be >= 1");
   if (audit.interval_events == 0) fail("audit.interval_events must be >= 1");
 }
 

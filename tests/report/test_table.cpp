@@ -20,18 +20,6 @@ TEST(Table, ValidateCatchesArityMismatch) {
   EXPECT_THROW(t.validate(), std::logic_error);
 }
 
-TEST(Table, TextRenderingAligns) {
-  Table t({"name", "value"});
-  t.row().cell("x").cell(std::uint64_t{7});
-  t.row().cell("longer").cell(std::uint64_t{42});
-  const std::string s = t.to_text();
-  EXPECT_NE(s.find("name"), std::string::npos);
-  EXPECT_NE(s.find("longer"), std::string::npos);
-  EXPECT_NE(s.find("42"), std::string::npos);
-  // Three lines: header + two rows.
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
-}
-
 TEST(Table, CsvRendering) {
   Table t({"a", "b"});
   t.row().cell("x").cell(1.5, 1);
@@ -47,24 +35,10 @@ TEST(Table, CsvEscapesSpecialCells) {
   EXPECT_NE(s.find("\"has\"\"quote\""), std::string::npos);
 }
 
-TEST(Table, MarkdownRendering) {
-  Table t({"a", "b"});
-  t.row().cell("x").cell("y");
-  EXPECT_EQ(t.to_markdown(), "| a | b |\n|---|---|\n| x | y |\n");
-}
-
 TEST(Table, NumericFormatting) {
   Table t({"v"});
   t.row().cell(3.14159, 2);
   EXPECT_EQ(t.to_csv(), "v\n3.14\n");
-}
-
-TEST(Table, CountsRowsAndCols) {
-  Table t({"a", "b", "c"});
-  EXPECT_EQ(t.num_cols(), 3u);
-  EXPECT_EQ(t.num_rows(), 0u);
-  t.row().cell("1").cell("2").cell("3");
-  EXPECT_EQ(t.num_rows(), 1u);
 }
 
 }  // namespace

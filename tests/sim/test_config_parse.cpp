@@ -225,5 +225,25 @@ TEST(ConfigParse, ParsedConfigValidates) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ConfigParse, ValidateRejectionNamesTheKey) {
+  // Values every key parses but the configuration cannot run: uvmsim maps
+  // the rejection to rc 2, so its message must name the key that was set.
+  const std::pair<const char*, const char*> kRejected[] = {
+      {"gpu.num_sms", "0"},
+      {"mem.device_capacity_bytes", "0"},
+      {"kernel_launch_overhead_us", "-5"},
+  };
+  for (const auto& [key, value] : kRejected) {
+    SimConfig cfg;
+    apply_config_setting(cfg, key, value);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << key << "=" << value << " passed validate()";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace uvmsim

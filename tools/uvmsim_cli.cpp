@@ -86,6 +86,16 @@ int main(int argc, char** argv) {
   Cycle metrics_interval = 100000;
   bool json_output = false;
   bool classify = false;
+  // Shorthands, --set and --config-file write through the one key table, and
+  // validate() runs after the last flag; a rejection exits 2 naming its key.
+  auto configure = [](auto write) {
+    try {
+      write();
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -102,16 +112,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!parse(v, out)) {
         std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
-        std::exit(2);
-      }
-    };
-    // Shorthands, --set and --config-file all write through the one key
-    // table; a rejected value exits 2 with a message naming its key.
-    auto configure = [&](auto write) {
-      try {
-        write();
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
     };
@@ -206,6 +206,7 @@ int main(int argc, char** argv) {
   if (!eviction_named && cfg.policy.resolved_slug() != "baseline") {
     cfg.mem.eviction = EvictionKind::kLfu;
   }
+  configure([&] { cfg.validate(); });
 
   if (show_config) std::printf("%s\n", describe(cfg).c_str());
 

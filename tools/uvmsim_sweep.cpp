@@ -1,5 +1,5 @@
 // uvmsim-sweep: regenerate the paper's full evaluation grid as tidy CSV for
-// downstream plotting (each figure of the paper is a slice of this data).
+// downstream plotting, and slice the paper's grid figures out of it.
 //
 //   uvmsim-sweep --out results.csv [--scale 1.0] [--jobs N] [--quick]
 //                [--metrics-dir DIR]
@@ -8,6 +8,11 @@
 //       x oversubscription {fits, 1.25, 1.50}
 //       plus the Fig 4 ts sweep and Fig 8 penalty sweep at 125 %.
 //
+// When every run succeeds, it also writes twelve files to the current
+// directory: Figs 1 and 4-8 (report/figures.hpp) as fig1_oversub_sensitivity,
+// fig4_static_threshold, fig5_no_oversub, fig6_oversub_runtime, fig7_thrashing
+// and fig8_penalty_sensitivity, each .csv and .log, as in artifacts/.
+//
 // Runs execute on the parallel batch engine (sim/runner.hpp). Rows are
 // written in grid order after the batch completes, and every run is fully
 // seeded by its request, so the CSV is byte-identical for any --jobs value.
@@ -15,12 +20,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include <uvmsim/uvmsim.hpp>
 
+#include "report/figures.hpp"
 #include "report/run_csv.hpp"
 #include "sweep_grid.hpp"
 
@@ -37,7 +44,11 @@ constexpr const char* kUsage =
     "  --quick      cap scale at 0.2 for a fast smoke sweep\n"
     "  --metrics-dir DIR  also write one per-run metric time-series CSV per\n"
     "               grid entry into DIR; all series sample on the shared\n"
-    "               clock (multiples of 100000 cycles) so rows align\n";
+    "               clock (multiples of 100000 cycles) so rows align\n"
+    "When every run succeeds, it also writes Figs 1 and 4-8 to the current\n"
+    "directory, as <stem>.csv and <stem>.log each: fig1_oversub_sensitivity,\n"
+    "fig4_static_threshold, fig5_no_oversub, fig6_oversub_runtime,\n"
+    "fig7_thrashing and fig8_penalty_sensitivity.\n";
 
 int usage_error(const char* flag, const char* value) {
   if (value != nullptr)
@@ -46,6 +57,12 @@ int usage_error(const char* flag, const char* value) {
     std::fprintf(stderr, "missing value for %s\n", flag);
   std::fputs(kUsage, stderr);
   return 2;
+}
+
+bool write_file(const std::string& path, const std::string& text) {
+  if (std::ofstream(path) << text << std::flush) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -86,11 +103,7 @@ int main(int argc, char** argv) {
   }
   if (quick) scale = std::min(scale, 0.2);
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  if (!write_file(out_path, "")) return 1;  // fail before the sweep, not after it
 
   // The grid lives in tools/sweep_grid.hpp so the golden-output integration
   // test runs exactly these requests.
@@ -125,6 +138,7 @@ int main(int argc, char** argv) {
 
   const BatchResult batch = run_batch(grid, opts);
 
+  std::ostringstream out;
   write_run_csv_header(out);
   std::size_t written = 0;
   for (const BatchEntry& e : batch.entries) {
@@ -136,9 +150,25 @@ int main(int argc, char** argv) {
     append_run_csv(out, e.request.workload, e.request.config, e.request.oversub, e.result);
     ++written;
   }
+  if (!write_file(out_path, out.str())) return 1;
 
   std::printf("\nwrote %zu runs to %s (%u jobs, %.1f s wall)\n", written, out_path.c_str(),
               batch.jobs, batch.wall_ms / 1000.0);
+
+  if (batch.all_ok()) {
+    try {
+      for (const FigureSpec& spec : figure_specs()) {
+        const FigureFiles files = slice_figure(spec, batch.entries);
+        if (!write_file(spec.stem + ".csv", files.csv) ||
+            !write_file(spec.stem + ".log", files.log))
+          return 1;
+        std::printf("wrote %s.csv and %s.log\n", spec.stem.c_str(), spec.stem.c_str());
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   if (!metrics_dir.empty()) {
     std::size_t series = 0;
