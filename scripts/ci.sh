@@ -159,8 +159,9 @@ cmp /tmp/uvmsim_obs_plain.json /tmp/uvmsim_obs.json || {
 # Config boundary (sim/config_parse.hpp): a shorthand flag and --set of its
 # key run the same experiment, and a value its key cannot hold, or one that
 # SimConfig::validate() rejects, exits 2 with a message naming the key
-# instead of running something else.
-echo "==> config boundary (shorthand == --set, hostile values rc=2)"
+# instead of running something else. So does a workload name that no
+# generator registers, the retired zoo slugs among them.
+echo "==> config boundary (shorthand == --set, hostile values and workloads rc=2)"
 same_run() {  # WHAT, then the two argument lists separated by --
   local what=$1 a=() b=(); shift
   while [[ $1 != -- ]]; do a+=("$1"); shift; done; shift; b=("$@")
@@ -181,6 +182,23 @@ for kv in gpu.tlb_entries_per_sm=-1 gpu.num_sms=4294967297 \
       > /dev/null 2> /tmp/uvmsim_cfg_err.txt || rc=$?
   if [[ $rc -ne 2 ]] || ! grep -qF "${kv%%=*}" /tmp/uvmsim_cfg_err.txt; then
     echo "uvmsim --set $kv: rc=$rc, want 2 and a message naming the key"; exit 1
+  fi
+done
+for wl in nosuch pchase; do
+  rc=0
+  build/tools/uvmsim --workload "$wl" --scale 0.05 > /dev/null 2> /tmp/uvmsim_cfg_err.txt || rc=$?
+  if [[ $rc -ne 2 ]] || ! grep -qF "'$wl'" /tmp/uvmsim_cfg_err.txt; then
+    echo "uvmsim --workload $wl: rc=$rc, want 2 and a message naming it"; exit 1
+  fi
+done
+
+# Every tool answers --help with its usage on stdout and rc 0.
+echo "==> tool help (--help rc=0, usage on stdout)"
+for tool in uvmsim uvmsim-sweep uvmsim-fuzz uvmsim-tournament uvmsim-trace uvmsim-analyze; do
+  rc=0
+  build/tools/$tool --help > /tmp/uvmsim_help.txt 2> /dev/null || rc=$?
+  if [[ $rc -ne 0 || ! -s /tmp/uvmsim_help.txt ]]; then
+    echo "$tool --help: rc=$rc, want 0 and the usage on stdout"; exit 1
   fi
 done
 
@@ -308,7 +326,7 @@ if [[ $rc -ne 2 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-  echo "==> coverage gate (src/policy + src/check vs scripts/coverage_baseline.txt)"
+  echo "==> coverage gate (src/policy, src/check, src/trace vs scripts/coverage_baseline.txt)"
   scripts/coverage.sh
 fi
 

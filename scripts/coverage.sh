@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # coverage.sh — line-coverage gate for the layers the differential fuzzer
 # protects: src/policy (migration decisions) and src/check (oracle, stream
-# generator, shrinker, auditor). Builds with UVMSIM_COVERAGE=ON, runs the
-# test suite, aggregates gcov line coverage per layer, and fails when either
-# layer drops below scripts/coverage_baseline.txt.
+# generator, shrinker, auditor), and for src/trace (the UVMTRB1 codec and
+# replay, which the record/replay and golden-trace suites cover). Builds
+# with UVMSIM_COVERAGE=ON, runs the test suite, aggregates gcov line
+# coverage per layer, and fails when any layer drops below
+# scripts/coverage_baseline.txt.
 #
 #   scripts/coverage.sh            # gate against the recorded baseline
 #   scripts/coverage.sh --record   # rewrite the baseline from this run
@@ -34,7 +36,7 @@ import subprocess
 import sys
 
 build, record = sys.argv[1], sys.argv[2] == "1"
-layers = ["src/policy", "src/check"]
+layers = ["src/policy", "src/check", "src/trace"]
 baseline_path = pathlib.Path("scripts/coverage_baseline.txt")
 repo = pathlib.Path.cwd()
 

@@ -60,7 +60,7 @@ struct MultiGpuConfig {
   bool split_capacity = true;
   /// NVLink-class peer fabric: reads of blocks resident on a peer GPU are
   /// served peer-to-peer instead of from host memory.
-  PeerFabricConfig peer;
+  PeerFabricConfig peer{};
 };
 
 struct MultiGpuResult {

@@ -45,7 +45,6 @@ class TraceWorkload final : public Workload {
   explicit TraceWorkload(RecordedTrace trace) : trace_(std::move(trace)) {}
 
   [[nodiscard]] std::string name() const override { return "trace-replay"; }
-  [[nodiscard]] bool irregular() const override { return false; }
   void build(AddressSpace& space) override;
   [[nodiscard]] std::vector<std::shared_ptr<const Kernel>> schedule() const override;
 

@@ -22,7 +22,6 @@ class ReplayWorkload final : public Workload {
   explicit ReplayWorkload(std::shared_ptr<TraceReader> reader);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool irregular() const override { return false; }
   void build(AddressSpace& space) override;
   [[nodiscard]] std::vector<std::shared_ptr<const Kernel>> schedule() const override;
 

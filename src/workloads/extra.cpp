@@ -101,7 +101,6 @@ class SpmvWorkload final : public Workload {
     num_rows_ = static_cast<std::uint32_t>(262144 * p_.scale);
   }
   [[nodiscard]] std::string name() const override { return "spmv"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<SpmvState>();
@@ -196,7 +195,6 @@ class PagerankWorkload final : public Workload {
     num_nodes_ = static_cast<std::uint32_t>(196608 * p_.scale);
   }
   [[nodiscard]] std::string name() const override { return "pagerank"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<PagerankState>();
@@ -233,7 +231,6 @@ class KmeansWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 5;
   }
   [[nodiscard]] std::string name() const override { return "kmeans"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     points_ = make_region(space, "points", scaled_bytes(36, p_.scale));
@@ -314,7 +311,6 @@ class HistogramWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 2;
   }
   [[nodiscard]] std::string name() const override { return "histogram"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<HistogramState>();

@@ -151,7 +151,6 @@ class BfsWorkload final : public Workload {
     num_nodes_ = static_cast<std::uint32_t>(nodes * p_.scale);
   }
   [[nodiscard]] std::string name() const override { return "bfs"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<GraphState>();
@@ -223,7 +222,6 @@ class SsspWorkload final : public Workload {
     num_nodes_ = static_cast<std::uint32_t>(nodes * p_.scale);
   }
   [[nodiscard]] std::string name() const override { return "sssp"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<GraphState>();
@@ -347,7 +345,6 @@ class NwWorkload final : public Workload {
     dim_ = side / 16 * 16;
   }
   [[nodiscard]] std::string name() const override { return "nw"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<NwState>();
@@ -438,7 +435,6 @@ class RaWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 4;
   }
   [[nodiscard]] std::string name() const override { return "ra"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     st_ = std::make_shared<RaState>();

@@ -20,9 +20,6 @@ const std::unordered_map<std::string, Factory>& factories() {
       {"ra", make_ra},             {"sssp", make_sssp}, {"spmv", make_spmv},
       {"pagerank", make_pagerank}, {"kmeans", make_kmeans},
       {"histogram", make_histogram},
-      // Workload zoo (record/replay corpus candidates).
-      {"pchase", make_pchase},     {"hashjoin", make_hashjoin},
-      {"pipeline", make_pipeline}, {"nbody", make_nbody},
       // Trace replay: drives WorkloadParams::trace_file back through the sim.
       {"replay", make_replay_workload},
   };
@@ -55,20 +52,10 @@ const std::vector<std::string>& extra_workload_names() {
   return names;
 }
 
-const std::vector<std::string>& zoo_workload_names() {
-  static const std::vector<std::string> names{
-      "pchase", "hashjoin",   // irregular
-      "pipeline", "nbody",    // regular
-  };
-  return names;
-}
-
 std::vector<std::string> all_generator_workload_names() {
   std::vector<std::string> names = workload_names();
   const auto& extra = extra_workload_names();
-  const auto& zoo = zoo_workload_names();
   names.insert(names.end(), extra.begin(), extra.end());
-  names.insert(names.end(), zoo.begin(), zoo.end());
   return names;
 }
 

@@ -22,10 +22,4 @@ std::unique_ptr<Workload> make_pagerank(const WorkloadParams& p);
 std::unique_ptr<Workload> make_kmeans(const WorkloadParams& p);
 std::unique_ptr<Workload> make_histogram(const WorkloadParams& p);
 
-// Workload zoo (workloads/zoo.cpp): record/replay corpus candidates.
-std::unique_ptr<Workload> make_pchase(const WorkloadParams& p);
-std::unique_ptr<Workload> make_hashjoin(const WorkloadParams& p);
-std::unique_ptr<Workload> make_pipeline(const WorkloadParams& p);
-std::unique_ptr<Workload> make_nbody(const WorkloadParams& p);
-
 }  // namespace uvmsim

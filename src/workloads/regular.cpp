@@ -22,7 +22,6 @@ class BackpropWorkload final : public Workload {
  public:
   explicit BackpropWorkload(WorkloadParams p) : p_(p) {}
   [[nodiscard]] std::string name() const override { return "backprop"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     input_ = make_region(space, "input_units", scaled_bytes(12, p_.scale));
@@ -76,7 +75,6 @@ class FdtdWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 5;
   }
   [[nodiscard]] std::string name() const override { return "fdtd"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     ex_ = make_region(space, "ex", scaled_bytes(14, p_.scale));
@@ -141,7 +139,6 @@ class HotspotWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 5;
   }
   [[nodiscard]] std::string name() const override { return "hotspot"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     temp_ = make_region(space, "temp", scaled_bytes(12, p_.scale));
@@ -191,7 +188,6 @@ class SradWorkload final : public Workload {
     if (p_.iterations == 0) p_.iterations = 4;
   }
   [[nodiscard]] std::string name() const override { return "srad"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override {
     j_ = make_region(space, "J", scaled_bytes(10, p_.scale));

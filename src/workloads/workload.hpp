@@ -46,8 +46,6 @@ class Workload {
  public:
   virtual ~Workload() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Paper's classification (§III-B): regular or irregular access pattern.
-  [[nodiscard]] virtual bool irregular() const = 0;
   /// Create managed allocations. Called once, before schedule().
   virtual void build(AddressSpace& space) = 0;
   /// The launch sequence (iterations expanded); entries may repeat kernels.
@@ -68,8 +66,8 @@ struct WorkloadParams {
   std::string trace_file;
 };
 
-/// Instantiate a workload by benchmark name (backprop, fdtd, hotspot, srad,
-/// bfs, nw, ra, sssp). Throws std::invalid_argument on unknown names.
+/// Instantiate a workload by name: any all_generator_workload_names() slug,
+/// or "replay". Throws std::invalid_argument on unknown names.
 [[nodiscard]] std::unique_ptr<Workload> make_workload(const std::string& name,
                                                       const WorkloadParams& params = {});
 
@@ -80,14 +78,9 @@ struct WorkloadParams {
 /// kmeans, histogram (regular-ish), spmv, pagerank (irregular).
 [[nodiscard]] const std::vector<std::string>& extra_workload_names();
 
-/// The workload zoo (record/replay corpus candidates beyond the paper and
-/// generalization sets): pchase, hashjoin (irregular), pipeline, nbody
-/// (regular). Registered like every other slug; excluded from the paper
-/// sweep grid so golden captures stay stable.
-[[nodiscard]] const std::vector<std::string>& zoo_workload_names();
-
-/// Every registered generator slug: workload_names() + extra + zoo, in that
-/// order. Excludes "replay" (it needs WorkloadParams::trace_file).
+/// Every registered generator slug: workload_names() then
+/// extra_workload_names(). Excludes "replay" (it needs
+/// WorkloadParams::trace_file).
 [[nodiscard]] std::vector<std::string> all_generator_workload_names();
 
 }  // namespace uvmsim

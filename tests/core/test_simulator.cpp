@@ -13,7 +13,6 @@ class ScanWorkload final : public Workload {
   ScanWorkload(std::uint64_t bytes, std::uint32_t passes, AccessType type = AccessType::kRead)
       : bytes_(bytes), passes_(passes), type_(type) {}
   [[nodiscard]] std::string name() const override { return "scan"; }
-  [[nodiscard]] bool irregular() const override { return false; }
 
   void build(AddressSpace& space) override { r_ = make_region(space, "data", bytes_); }
 

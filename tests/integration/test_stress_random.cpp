@@ -18,7 +18,6 @@ class FuzzWorkload final : public Workload {
   explicit FuzzWorkload(std::uint64_t seed) : seed_(seed) {}
 
   [[nodiscard]] std::string name() const override { return "fuzz"; }
-  [[nodiscard]] bool irregular() const override { return true; }
 
   void build(AddressSpace& space) override {
     Rng rng(seed_);

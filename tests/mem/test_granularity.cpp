@@ -141,10 +141,10 @@ TEST(Granularity, RandomizedHistoryPreservesInvariants) {
     if (step % 64 != 0) continue;
     std::uint64_t coalesced = 0;
     for (ChunkNum cc = 0; cc < t.num_chunks(); ++cc) {
-      const std::uint32_t mapped = t.chunk_num_blocks(cc);
+      const std::uint32_t mapped_blocks = t.chunk_num_blocks(cc);
       std::vector<BlockNum> scan;
       const BlockNum first = first_block_of_chunk(cc);
-      for (BlockNum bb = first; bb < first + mapped; ++bb) {
+      for (BlockNum bb = first; bb < first + mapped_blocks; ++bb) {
         if (t.residence(bb) == Residence::kDevice) scan.push_back(bb);
       }
       std::vector<BlockNum> visited;

@@ -129,7 +129,6 @@ class TinyKernel final : public Kernel {
 class SparseLaunchWorkload final : public Workload {
  public:
   [[nodiscard]] std::string name() const override { return "sparse_launch"; }
-  [[nodiscard]] bool irregular() const override { return false; }
   void build(AddressSpace& space) override { space.allocate("buf", 2 << 20); }
   [[nodiscard]] std::vector<std::shared_ptr<const Kernel>> schedule() const override {
     return {std::make_shared<TinyKernel>(), std::make_shared<EmptyKernel>(),

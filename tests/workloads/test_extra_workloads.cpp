@@ -21,37 +21,7 @@ TEST(ExtraRegistry, NamesResolve) {
   }
 }
 
-TEST(ExtraRegistry, Classification) {
-  EXPECT_FALSE(make_workload("kmeans", tiny())->irregular());
-  EXPECT_FALSE(make_workload("histogram", tiny())->irregular());
-  EXPECT_TRUE(make_workload("spmv", tiny())->irregular());
-  EXPECT_TRUE(make_workload("pagerank", tiny())->irregular());
-}
-
 class ExtraWorkloadShape : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ExtraWorkloadShape, AccessesStayWithinAllocations) {
-  auto wl = make_workload(GetParam(), tiny());
-  AddressSpace space;
-  wl->build(space);
-  std::vector<Access> buf;
-  std::uint64_t checked = 0;
-  for (const auto& k : wl->schedule()) {
-    const std::uint64_t tasks = k->num_tasks();
-    for (std::uint64_t t = 0; t < tasks && checked < 100000; t += 1 + tasks / 64) {
-      buf.clear();
-      k->gen_task(t, buf);
-      for (const Access& a : buf) {
-        ++checked;
-        const auto owner = space.find(a.addr);
-        ASSERT_TRUE(owner.has_value()) << GetParam() << " touches unmapped " << a.addr;
-        EXPECT_TRUE(space.alloc(*owner).contains(a.addr + a.bytes() - 1));
-        EXPECT_EQ(block_of(a.addr), block_of(a.addr + a.bytes() - 1));
-      }
-    }
-  }
-  EXPECT_GT(checked, 0u);
-}
 
 TEST_P(ExtraWorkloadShape, RunsEndToEndUnderBothExtremes) {
   SimConfig cfg;

@@ -34,13 +34,12 @@ TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_workload("nosuch", tiny()), std::invalid_argument);
 }
 
-TEST(Registry, PaperClassification) {
-  for (const auto& n : {"backprop", "fdtd", "hotspot", "srad"}) {
-    EXPECT_FALSE(make_workload(n, tiny())->irregular()) << n;
-  }
-  for (const auto& n : {"bfs", "nw", "ra", "sssp"}) {
-    EXPECT_TRUE(make_workload(n, tiny())->irregular()) << n;
-  }
+TEST(Registry, GeneratorListIsTwelveWithoutReplay) {
+  const std::vector<std::string> all = all_generator_workload_names();
+  const std::set<std::string> unique(all.begin(), all.end());
+  EXPECT_EQ(all.size(), 12u);  // 8 paper + 4 extra
+  EXPECT_EQ(unique.size(), all.size());
+  EXPECT_EQ(unique.count("replay"), 0u);  // needs trace_file; not a generator
 }
 
 class WorkloadShape : public ::testing::TestWithParam<std::string> {};
@@ -101,25 +100,27 @@ TEST_P(WorkloadShape, DeterministicGeneration) {
   const auto k2 = w2->schedule();
   ASSERT_EQ(k1.size(), k2.size());
   std::vector<Access> a, b;
-  for (std::size_t i = 0; i < k1.size(); i += 1 + k1.size() / 8) {
+  for (std::size_t i = 0; i < k1.size(); ++i) {
     ASSERT_EQ(k1[i]->num_tasks(), k2[i]->num_tasks());
-    if (k1[i]->num_tasks() == 0) continue;
-    a.clear();
-    b.clear();
-    k1[i]->gen_task(0, a);
-    k2[i]->gen_task(0, b);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j].addr, b[j].addr);
-      EXPECT_EQ(a[j].type, b[j].type);
-      EXPECT_EQ(a[j].count, b[j].count);
+    const std::uint64_t n = std::min<std::uint64_t>(k1[i]->num_tasks(), 32);
+    // w2 generates its tasks in reverse first: a task's stream must not
+    // depend on generation order (the replay/recording contract).
+    for (std::uint64_t t = n; t-- > 0;) {
+      b.clear();
+      k2[i]->gen_task(t, b);
+    }
+    for (std::uint64_t t = 0; t < n; ++t) {
+      a.clear();
+      b.clear();
+      k1[i]->gen_task(t, a);
+      k2[i]->gen_task(t, b);
+      ASSERT_EQ(a, b) << GetParam() << " launch " << i << " task " << t;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadShape,
-                         ::testing::Values("backprop", "fdtd", "hotspot", "srad", "bfs",
-                                           "nw", "ra", "sssp"));
+                         ::testing::ValuesIn(all_generator_workload_names()));
 
 TEST(WorkloadScale, ScaleGrowsFootprint) {
   for (const auto& n : workload_names()) {

@@ -25,7 +25,7 @@ using namespace uvmsim;
 void usage() {
   std::printf(
       "usage: uvmsim [options]\n"
-      "  --workload NAME    backprop|fdtd|hotspot|srad|bfs|nw|ra|sssp (default sssp)\n"
+      "  --workload NAME    a workload from --list (default sssp)\n"
       "  --policies         list registered migration policies and exit\n"
       "  --scale F          workload footprint scale (default 0.25)\n"
       "  --seed N           workload RNG seed\n"
@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--list") {
       for (const auto& n : workload_names()) std::printf("%s\n", n.c_str());
       for (const auto& n : extra_workload_names()) std::printf("%s (extra)\n", n.c_str());
-      for (const auto& n : zoo_workload_names()) std::printf("%s (zoo)\n", n.c_str());
       return 0;
     } else if (arg == "--workload" || arg == "-w") {
       workload = next();
@@ -234,7 +233,12 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(here));
       }
     } else {
-      wl = make_workload(workload, params);
+      try {
+        wl = make_workload(workload, params);
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr, "unknown workload '%s'; see --list\n", workload.c_str());
+        return 2;
+      }
     }
 
     obs::MetricsRecorder metrics;

@@ -95,6 +95,9 @@ int main(int argc, char** argv) {
       metrics_dir = argv[++i];
     } else if (arg == "--quick") {
       quick = true;
+    } else if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       std::fputs(kUsage, stderr);
