@@ -16,28 +16,30 @@ int main() {
   print_row_header({"adpt/64K", "adpt/4K", "alwys/volta", "alwys/hist", "adpt/wr-td",
                     "adpt/wr-mig"});
 
-  for (const auto& name : workload_names()) {
-    const auto base = static_cast<double>(
-        run(name, scheme_config(PolicyKind::kFirstTouch), 1.25).stats.kernel_cycles);
-    std::vector<double> row;
+  std::vector<Column> columns{{scheme_config(PolicyKind::kFirstTouch), 1.25}};
+  // (a) counter granularity under Adaptive.
+  for (const std::uint64_t gran : {kBasicBlockSize, kPageSize}) {
+    SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
+    cfg.mem.counter_granularity = gran;
+    columns.push_back({cfg, 1.25});
+  }
+  // (b) counter maintenance under Always.
+  for (const bool historic : {false, true}) {
+    SimConfig cfg = scheme_config(PolicyKind::kStaticAlways);
+    cfg.policy.historic_counters_override = historic;
+    columns.push_back({cfg, 1.25});
+  }
+  // (c) write handling under Adaptive.
+  for (const bool write_migrates : {false, true}) {
+    SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
+    cfg.policy.adaptive_write_migrates = write_migrates;
+    columns.push_back({cfg, 1.25});
+  }
 
-    // (a) counter granularity under Adaptive.
-    for (const std::uint64_t gran : {kBasicBlockSize, kPageSize}) {
-      SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
-      cfg.mem.counter_granularity = gran;
-      row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
-    }
-    // (b) counter maintenance under Always.
-    for (const bool historic : {false, true}) {
-      SimConfig cfg = scheme_config(PolicyKind::kStaticAlways);
-      cfg.policy.historic_counters_override = historic;
-      row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
-    }
-    // (c) write handling under Adaptive.
-    for (const bool write_migrates : {false, true}) {
-      SimConfig cfg = scheme_config(PolicyKind::kAdaptive);
-      cfg.policy.adaptive_write_migrates = write_migrates;
-      row.push_back(static_cast<double>(run(name, cfg, 1.25).stats.kernel_cycles) / base);
+  for (const auto& [name, cells] : run_grid(workload_names(), columns)) {
+    std::vector<double> row;
+    for (std::size_t c = 1; c < cells.size(); ++c) {
+      row.push_back(cycles(cells[c]) / cycles(cells[0]));
     }
     print_row(name, row);
   }

@@ -15,26 +15,25 @@ int main() {
       {"always", PolicyKind::kStaticAlways},
       {"adaptive", PolicyKind::kAdaptive},
   };
+  const std::vector<std::pair<std::string, EvictionKind>> evictions{
+      {"lru", EvictionKind::kLru}, {"lfu", EvictionKind::kLfu}, {"tree", EvictionKind::kTree}};
 
-  for (const auto& name : workload_names()) {
-    SimConfig ref_cfg = scheme_config(PolicyKind::kFirstTouch);
-    ref_cfg.mem.eviction = EvictionKind::kLru;
-    const auto ref =
-        static_cast<double>(run(name, ref_cfg, 1.25).stats.kernel_cycles);
+  // The first column, first-touch + LRU, is the reference.
+  std::vector<Column> columns;
+  std::vector<std::string> labels;
+  for (const auto& [label, kind] : policies) {
+    for (const auto& [ev_name, ev] : evictions) {
+      SimConfig cfg = scheme_config(kind);
+      cfg.mem.eviction = ev;
+      columns.push_back({cfg, 1.25});
+      labels.push_back(label + "/" + ev_name);
+    }
+  }
 
+  for (const auto& [name, cells] : run_grid(workload_names(), columns)) {
     std::printf("%-10s", name.c_str());
-    for (const auto& [label, kind] : policies) {
-      for (const EvictionKind ev :
-           {EvictionKind::kLru, EvictionKind::kLfu, EvictionKind::kTree}) {
-        SimConfig cfg = scheme_config(kind);
-        cfg.mem.eviction = ev;
-        const RunResult r = run(name, cfg, 1.25);
-        const char* ev_name = ev == EvictionKind::kLru   ? "lru"
-                              : ev == EvictionKind::kLfu ? "lfu"
-                                                         : "tree";
-        std::printf(" %s/%s=%6.2f", label.c_str(), ev_name,
-                    static_cast<double>(r.stats.kernel_cycles) / ref);
-      }
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      std::printf(" %s=%6.2f", labels[c].c_str(), cycles(cells[c]) / cycles(cells[0]));
     }
     std::printf("\n");
   }

@@ -11,22 +11,21 @@ int main() {
                "adaptive/baseline runtime ratio under each model variant");
   print_row_header({"default", "with-L2", "no-protect"});
 
-  for (const auto& name : {"fdtd", "bfs", "ra", "sssp"}) {
+  // Per variant, a Baseline column and then an Adaptive one.
+  std::vector<Column> columns;
+  for (int variant = 0; variant < 3; ++variant) {
+    for (const PolicyKind policy : {PolicyKind::kFirstTouch, PolicyKind::kAdaptive}) {
+      SimConfig cfg = scheme_config(policy);
+      if (variant == 1) cfg.gpu.l2.enabled = true;
+      if (variant == 2) cfg.mem.eviction_protect_cycles = 0;
+      columns.push_back({cfg, 1.25});
+    }
+  }
+
+  for (const auto& [name, cells] : run_grid({"fdtd", "bfs", "ra", "sssp"}, columns)) {
     std::vector<double> row;
-    for (int variant = 0; variant < 3; ++variant) {
-      SimConfig base = scheme_config(PolicyKind::kFirstTouch);
-      SimConfig adaptive = scheme_config(PolicyKind::kAdaptive);
-      if (variant == 1) {
-        base.gpu.l2.enabled = true;
-        adaptive.gpu.l2.enabled = true;
-      } else if (variant == 2) {
-        base.mem.eviction_protect_cycles = 0;
-        adaptive.mem.eviction_protect_cycles = 0;
-      }
-      const RunResult b = run(name, base, 1.25);
-      const RunResult a = run(name, adaptive, 1.25);
-      row.push_back(static_cast<double>(a.stats.kernel_cycles) /
-                    static_cast<double>(b.stats.kernel_cycles));
+    for (std::size_t c = 0; c < cells.size(); c += 2) {
+      row.push_back(cycles(cells[c + 1]) / cycles(cells[c]));
     }
     print_row(name, row);
   }

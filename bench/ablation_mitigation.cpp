@@ -12,20 +12,16 @@ int main() {
                "runtime normalized to the unmitigated Baseline");
   print_row_header({"Baseline", "throttle", "Adaptive", "thr_remote"});
 
-  for (const auto& name : workload_names()) {
-    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
-    SimConfig throttled = scheme_config(PolicyKind::kFirstTouch);
-    throttled.mitigation.enabled = true;
-    const RunResult mitigated = run(name, throttled, 1.25);
-    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
+  SimConfig throttled = scheme_config(PolicyKind::kFirstTouch);
+  throttled.mitigation.enabled = true;
+  const std::vector<Column> columns{{scheme_config(PolicyKind::kFirstTouch), 1.25},
+                                    {throttled, 1.25},
+                                    {scheme_config(PolicyKind::kAdaptive), 1.25}};
 
-    const auto b = static_cast<double>(base.stats.kernel_cycles);
-    print_row(name,
-              {1.0, static_cast<double>(mitigated.stats.kernel_cycles) / b,
-               static_cast<double>(adaptive.stats.kernel_cycles) / b,
-               static_cast<double>(mitigated.stats.remote_accesses > 0
-                                       ? mitigated.stats.remote_accesses
-                                       : 0)});
+  for (const auto& [name, cells] : run_grid(workload_names(), columns)) {
+    const double b = cycles(cells[0]);
+    print_row(name, {1.0, cycles(cells[1]) / b, cycles(cells[2]) / b,
+                     static_cast<double>(cells[1].stats.remote_accesses)});
   }
 
   std::printf(

@@ -15,8 +15,19 @@ int main() {
       {"tree", PrefetcherKind::kTree},
   };
 
+  // Per oversubscription, one column per prefetcher: "none" first, "tree" last.
+  std::vector<Column> columns;
   for (const double oversub : {0.0, 1.25}) {
-    print_header(oversub == 0.0
+    for (const auto& [label, kind] : prefetchers) {
+      SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
+      cfg.mem.prefetcher = kind;
+      columns.push_back({cfg, oversub});
+    }
+  }
+  const auto rows = run_grid(workload_names(), columns);
+
+  for (std::size_t none = 0; none < columns.size(); none += prefetchers.size()) {
+    print_header(columns[none].oversub == 0.0
                      ? "Ablation: prefetchers, working set fits"
                      : "Ablation: prefetchers, 125% oversubscription",
                  "Baseline driver; runtime normalized to the no-prefetch run");
@@ -24,21 +35,13 @@ int main() {
     for (const auto& [label, _] : prefetchers) std::printf(" %10s", label.c_str());
     std::printf(" %12s\n", "tree_pref_MB");
 
-    for (const auto& name : workload_names()) {
+    const std::size_t tree = none + prefetchers.size() - 1;
+    for (const auto& [name, cells] : rows) {
       std::printf("%-10s", name.c_str());
-      double ref = 0;
-      std::uint64_t tree_pref_bytes = 0;
-      for (const auto& [label, kind] : prefetchers) {
-        SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
-        cfg.mem.prefetcher = kind;
-        const RunResult r = run(name, cfg, oversub);
-        const auto cycles = static_cast<double>(r.stats.kernel_cycles);
-        if (kind == PrefetcherKind::kNone) ref = cycles;
-        if (kind == PrefetcherKind::kTree) {
-          tree_pref_bytes = r.stats.blocks_prefetched * kBasicBlockSize;
-        }
-        std::printf(" %10.2f", cycles / ref);
+      for (std::size_t c = none; c <= tree; ++c) {
+        std::printf(" %10.2f", cycles(cells[c]) / cycles(cells[none]));
       }
+      const std::uint64_t tree_pref_bytes = cells[tree].stats.blocks_prefetched * kBasicBlockSize;
       std::printf(" %12.1f\n", static_cast<double>(tree_pref_bytes) / (1 << 20));
     }
   }

@@ -15,25 +15,23 @@ int main() {
   std::printf("%-8s %-10s %14s %16s %14s\n", "app", "input", "base-slowdown",
               "adaptive-ratio", "base-thrash-MB");
 
-  for (const auto& app : {"bfs", "sssp"}) {
-    for (const auto& graph : {"powerlaw", "road"}) {
-      WorkloadParams params;
-      params.scale = kScale;
-      params.graph = graph;
+  // Per input: Baseline fitting, Baseline and Adaptive oversubscribed.
+  const std::vector<std::string> graphs{"powerlaw", "road"};
+  std::vector<Column> columns;
+  for (const std::string& graph : graphs) {
+    WorkloadParams params = params_at(kScale);
+    params.graph = graph;
+    columns.push_back({scheme_config(PolicyKind::kFirstTouch), 0.0, params});
+    columns.push_back({scheme_config(PolicyKind::kFirstTouch), 1.25, params});
+    columns.push_back({scheme_config(PolicyKind::kAdaptive), 1.25, params});
+  }
 
-      SimConfig base_cfg = scheme_config(PolicyKind::kFirstTouch);
-      SimConfig adpt_cfg = scheme_config(PolicyKind::kAdaptive);
-
-      const RunResult fits = run_workload(app, base_cfg, 0.0, params);
-      const RunResult base = run_workload(app, base_cfg, 1.25, params);
-      const RunResult adpt = run_workload(app, adpt_cfg, 1.25, params);
-
-      std::printf("%-8s %-10s %14.2f %16.3f %14.1f\n", app, graph,
-                  static_cast<double>(base.stats.kernel_cycles) /
-                      static_cast<double>(fits.stats.kernel_cycles),
-                  static_cast<double>(adpt.stats.kernel_cycles) /
-                      static_cast<double>(base.stats.kernel_cycles),
-                  static_cast<double>(base.stats.pages_thrashed) * kPageSize / (1 << 20));
+  for (const auto& [app, cells] : run_grid({"bfs", "sssp"}, columns)) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const RunResult* input = &cells[3 * g];
+      std::printf("%-8s %-10s %14.2f %16.3f %14.1f\n", app.c_str(), graphs[g].c_str(),
+                  cycles(input[1]) / cycles(input[0]), cycles(input[2]) / cycles(input[1]),
+                  static_cast<double>(input[1].stats.pages_thrashed) * kPageSize / (1 << 20));
     }
   }
 

@@ -14,8 +14,8 @@ namespace {
 using namespace uvmsim;
 using namespace uvmsim::bench;
 
-// The cold allocations per workload — knowledge the oracle has from
-// profiling (Fig 2) and that the adaptive scheme must discover online.
+// The cold allocations of each irregular workload — knowledge the oracle has
+// from profiling (Fig 2) and that the adaptive scheme must discover online.
 const std::map<std::string, std::vector<std::string>>& oracle_cold_sets() {
   static const std::map<std::string, std::vector<std::string>> sets{
       {"bfs", {"graph_edges"}},
@@ -33,33 +33,28 @@ int main() {
                "runtime normalized to Baseline; oracle pins the cold data zero-copy");
   print_row_header({"Baseline", "oracle-hints", "Adaptive"});
 
-  WorkloadParams params;
-  params.scale = kScale;
-
-  for (const auto& [name, cold] : oracle_cold_sets()) {
-    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
-
-    // Oracle: baseline driver + hand-placed AccessedBy hints.
-    SimConfig oracle_cfg = scheme_config(PolicyKind::kFirstTouch);
-    oracle_cfg.mem.oversubscription = 1.25;
-    auto wl = make_workload(name, params);
-    Simulator oracle_sim(oracle_cfg);
-    RunOptions oracle_opts;
-    oracle_opts.advice_hook = [&](AddressSpace& space) {
-      for (const auto& alloc : cold) {
+  // Baseline, the oracle (Baseline driver + hand-placed AccessedBy hints),
+  // and Adaptive.
+  const std::vector<Column> columns{{scheme_config(PolicyKind::kFirstTouch), 1.25},
+                                    {scheme_config(PolicyKind::kFirstTouch), 1.25},
+                                    {scheme_config(PolicyKind::kAdaptive), 1.25}};
+  const auto rows = run_grid(irregular_names(), columns, [](std::size_t w, std::size_t c) {
+    RunOptions opts;
+    if (c != 1) return opts;
+    opts.advice_hook = [&name = irregular_names()[w]](AddressSpace& space) {
+      for (const auto& alloc : oracle_cold_sets().at(name)) {
         if (!space.advise(alloc, MemAdvice::kAccessedBy)) {
           std::fprintf(stderr, "no allocation named %s in %s\n", alloc.c_str(),
                        name.c_str());
         }
       }
     };
-    const RunResult oracle = oracle_sim.run(*wl, oracle_opts);
+    return opts;
+  });
 
-    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
-
-    const auto b = static_cast<double>(base.stats.kernel_cycles);
-    print_row(name, {1.0, static_cast<double>(oracle.stats.kernel_cycles) / b,
-                     static_cast<double>(adaptive.stats.kernel_cycles) / b});
+  for (const auto& [name, cells] : rows) {
+    const double b = cycles(cells[0]);
+    print_row(name, {1.0, cycles(cells[1]) / b, cycles(cells[2]) / b});
   }
 
   std::printf(

@@ -4,7 +4,6 @@
 // runtime ratio. The paper reports single-input numbers; this bench shows
 // the conclusion is not an artifact of one lucky input.
 #include "harness.hpp"
-#include "report/variance.hpp"
 
 int main() {
   using namespace uvmsim;
@@ -16,16 +15,20 @@ int main() {
   std::printf("%-10s %10s %10s %10s %10s %8s\n", "workload", "mean", "stddev", "min",
               "max", "cv");
 
-  WorkloadParams params;
-  params.scale = 0.5;
+  // Per seed, a Baseline column and then an Adaptive one.
+  std::vector<Column> columns;
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    WorkloadParams params = params_at(0.5);
+    params.seed += i;
+    columns.push_back({scheme_config(PolicyKind::kFirstTouch), 1.25, params});
+    columns.push_back({scheme_config(PolicyKind::kAdaptive), 1.25, params});
+  }
 
-  for (const auto& name : irregular_names()) {
-    const auto base = kernel_cycles_across_seeds(
-        name, scheme_config(PolicyKind::kFirstTouch), 1.25, params, kSeeds);
-    const auto adpt = kernel_cycles_across_seeds(
-        name, scheme_config(PolicyKind::kAdaptive), 1.25, params, kSeeds);
+  for (const auto& [name, cells] : run_grid(irregular_names(), columns)) {
     std::vector<double> ratios;
-    for (std::size_t i = 0; i < kSeeds; ++i) ratios.push_back(adpt[i] / base[i]);
+    for (std::size_t c = 0; c < cells.size(); c += 2) {
+      ratios.push_back(cycles(cells[c + 1]) / cycles(cells[c]));
+    }
     const SampleStats s = summarize_samples(ratios);
     std::printf("%-10s %10.3f %10.3f %10.3f %10.3f %7.1f%%\n", name.c_str(), s.mean,
                 s.stddev, s.min, s.max, s.cv() * 100.0);

@@ -11,24 +11,23 @@ int main() {
                "runtime normalized to Baseline (first-touch + LRU); ts=8, p=8");
   print_row_header({"Baseline", "Always", "Oversub", "Adaptive"});
 
-  for (const auto& name : extra_workload_names()) {
-    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 1.25);
-    const RunResult always = run(name, scheme_config(PolicyKind::kStaticAlways), 1.25);
-    const RunResult oversub = run(name, scheme_config(PolicyKind::kStaticOversub), 1.25);
-    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 1.25);
-    const auto b = static_cast<double>(base.stats.kernel_cycles);
-    print_row(name, {1.0, static_cast<double>(always.stats.kernel_cycles) / b,
-                     static_cast<double>(oversub.stats.kernel_cycles) / b,
-                     static_cast<double>(adaptive.stats.kernel_cycles) / b});
+  // The four schemes at 125 %, then Baseline and Adaptive with the set fitting.
+  const std::vector<Column> columns{{scheme_config(PolicyKind::kFirstTouch), 1.25},
+                                    {scheme_config(PolicyKind::kStaticAlways), 1.25},
+                                    {scheme_config(PolicyKind::kStaticOversub), 1.25},
+                                    {scheme_config(PolicyKind::kAdaptive), 1.25},
+                                    {scheme_config(PolicyKind::kFirstTouch), 0.0},
+                                    {scheme_config(PolicyKind::kAdaptive), 0.0}};
+  const auto rows = run_grid(extra_workload_names(), columns);
+
+  for (const auto& [name, cells] : rows) {
+    const double b = cycles(cells[0]);
+    print_row(name, {1.0, cycles(cells[1]) / b, cycles(cells[2]) / b, cycles(cells[3]) / b});
   }
 
   std::printf("\nNo-oversubscription parity check (Adaptive vs Baseline, fits):\n");
-  for (const auto& name : extra_workload_names()) {
-    const RunResult base = run(name, scheme_config(PolicyKind::kFirstTouch), 0.0);
-    const RunResult adaptive = run(name, scheme_config(PolicyKind::kAdaptive), 0.0);
-    std::printf("  %-10s %.3f\n", name.c_str(),
-                static_cast<double>(adaptive.stats.kernel_cycles) /
-                    static_cast<double>(base.stats.kernel_cycles));
+  for (const auto& [name, cells] : rows) {
+    std::printf("  %-10s %.3f\n", name.c_str(), cycles(cells[5]) / cycles(cells[4]));
   }
 
   std::printf(

@@ -2,32 +2,15 @@
 // fdtd (regular: uniform density, few hot lines) and sssp (irregular: hot
 // read-write status arrays vs cold read-only edge data). Prints per-
 // allocation summaries and writes the full per-page histograms to CSV.
-#include <fstream>
-
 #include "harness.hpp"
 #include "trace/trace.hpp"
 
 namespace {
 
-void characterize(const std::string& name) {
-  using namespace uvmsim;
-  using namespace uvmsim::bench;
+using namespace uvmsim;
+using namespace uvmsim::bench;
 
-  WorkloadParams params;
-  params.scale = kScale;
-  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
-  cfg.collect_traces = true;
-
-  AddressSpace sizing;
-  make_workload(name, params)->build(sizing);
-  PageHistogram hist(sizing);
-
-  auto wl = make_workload(name, params);
-  Simulator sim(cfg);
-  RunOptions opts;
-  opts.trace_sink = &hist;
-  (void)sim.run(*wl, opts);
-
+void print_distribution(const std::string& name, const PageHistogram& hist) {
   std::printf("\n%s: per-allocation page access distribution\n", name.c_str());
   std::printf("%-16s %9s %9s %9s %9s %12s %10s %8s\n", "allocation", "pages", "touched",
               "rd-only", "written", "accesses", "mean/page", "top10%");
@@ -42,19 +25,34 @@ void characterize(const std::string& name) {
   }
 
   const std::string csv = "fig2_" + name + "_pages.csv";
-  std::ofstream out(csv);
-  hist.write_csv(out);
+  write_csv(csv, hist);
   std::printf("full per-page histogram written to %s\n", csv.c_str());
 }
 
 }  // namespace
 
 int main() {
-  uvmsim::bench::print_header(
-      "Figure 2: page access distribution, type of access per allocation",
-      "fdtd (regular) vs sssp (irregular)");
-  characterize("fdtd");
-  characterize("sssp");
+  print_header("Figure 2: page access distribution, type of access per allocation",
+               "fdtd (regular) vs sssp (irregular)");
+
+  // A histogram maps pages to allocations through its workload's layout.
+  const std::vector<std::string> names{"fdtd", "sssp"};
+  std::vector<AddressSpace> layouts(names.size());
+  std::vector<PageHistogram> hists;
+  for (std::size_t w = 0; w < names.size(); ++w) {
+    make_workload(names[w], params_at(kScale))->build(layouts[w]);
+    hists.emplace_back(layouts[w]);
+  }
+
+  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
+  cfg.collect_traces = true;
+  (void)run_grid(names, {{cfg, 0.0}}, [&](std::size_t w, std::size_t) {
+    RunOptions opts;
+    opts.trace_sink = &hists[w];
+    return opts;
+  });
+  for (std::size_t w = 0; w < names.size(); ++w) print_distribution(names[w], hists[w]);
+
   std::printf(
       "\nExpected shape (paper Fig 2): fdtd allocations are accessed at a\n"
       "near-uniform frequency with a few equally spaced hot pages; sssp has\n"

@@ -4,7 +4,6 @@
 // dense and sequential. Prints per-launch summaries and writes the sampled
 // (cycle, page) series to CSV.
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 
@@ -24,19 +23,7 @@ struct LaunchSummary {
   PageNum max_page = 0;
 };
 
-void characterize(const std::string& name) {
-  WorkloadParams params;
-  params.scale = kScale;
-  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
-  cfg.collect_traces = true;
-
-  TimeSeriesSampler ts(/*stride=*/32);
-  auto wl = make_workload(name, params);
-  Simulator sim(cfg);
-  RunOptions opts;
-  opts.trace_sink = &ts;
-  (void)sim.run(*wl, opts);
-
+void print_pattern(const std::string& name, const TimeSeriesSampler& ts) {
   std::map<std::uint32_t, LaunchSummary> launches;
   for (const auto& s : ts.samples()) {
     auto& l = launches[s.launch];
@@ -60,8 +47,7 @@ void characterize(const std::string& name) {
   }
 
   const std::string csv = "fig3_" + name + "_timeseries.csv";
-  std::ofstream out(csv);
-  ts.write_csv(out);
+  write_csv(csv, ts);
   std::printf("sampled (cycle,page) series written to %s\n", csv.c_str());
 }
 
@@ -70,8 +56,18 @@ void characterize(const std::string& name) {
 int main() {
   print_header("Figure 3: access pattern over iterations",
                "fdtd iterations repeat; sssp kernel1 is sparse, kernel2 dense");
-  characterize("fdtd");
-  characterize("sssp");
+
+  const std::vector<std::string> names{"fdtd", "sssp"};
+  std::vector<TimeSeriesSampler> samplers(names.size(), TimeSeriesSampler(/*stride=*/32));
+  SimConfig cfg = scheme_config(PolicyKind::kFirstTouch);
+  cfg.collect_traces = true;
+  (void)run_grid(names, {{cfg, 0.0}}, [&](std::size_t w, std::size_t) {
+    RunOptions opts;
+    opts.trace_sink = &samplers[w];
+    return opts;
+  });
+  for (std::size_t w = 0; w < names.size(); ++w) print_pattern(names[w], samplers[w]);
+
   std::printf(
       "\nExpected shape (paper Fig 3): fdtd launches cover their arrays densely\n"
       "and identically across iterations; sssp kernel1 touches a sparse subset\n"

@@ -5,6 +5,7 @@
 // writes the full series to CSV for plotting.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include <uvmsim/uvmsim.hpp>
@@ -29,6 +30,10 @@ obs::MetricsRecorder run_with_metrics(PolicyKind policy, const char* csv_path) {
 
   std::ofstream out(csv_path);
   metrics.write_csv(out);
+  if (!(out << std::flush)) {
+    std::fprintf(stderr, "cannot write %s\n", csv_path);
+    std::exit(1);
+  }
   return metrics;
 }
 

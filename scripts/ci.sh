@@ -35,17 +35,22 @@ for preset in "${presets[@]}"; do
 done
 
 # Fig contract (src/report/figures.hpp): Figs 1 and 4-8 are slices of the
-# evaluation sweep. A full-scale sweep run in an empty directory must write
-# their twelve files (.csv and .log each) byte-identical to artifacts/.
-echo "==> fig contract (uvmsim-sweep --scale 1.0 vs artifacts/)"
+# evaluation sweep, Figs 2 and 3 are bench binaries. A full-scale sweep and
+# the two binaries, run in an empty directory, must write every tracked
+# figure file byte-identical to artifacts/.
+echo "==> fig contract (uvmsim-sweep --scale 1.0, fig2, fig3 vs artifacts/)"
 figdir=$(mktemp -d)
-sweep=$PWD/build/tools/uvmsim-sweep
-(cd "$figdir" && "$sweep" --scale 1.0 --jobs "$jobs" --out sweep.csv > /dev/null)
-for f in artifacts/fig{1,4,5,6,7,8}_*.{csv,log}; do
-  cmp "$f" "$figdir/${f#artifacts/}" || { echo "the sweep's ${f#artifacts/} differs from $f"; exit 1; }
+bin=$PWD/build
+(cd "$figdir" && "$bin/tools/uvmsim-sweep" --scale 1.0 --jobs "$jobs" --out sweep.csv > /dev/null \
+    && "$bin/bench/fig2_access_distribution" > /dev/null \
+    && "$bin/bench/fig3_access_pattern" > /dev/null)
+nfig=0
+for f in artifacts/fig*; do
+  cmp "$f" "$figdir/${f#artifacts/}" || { echo "${f#artifacts/} differs from $f"; exit 1; }
+  nfig=$((nfig + 1))
 done
 rm -rf "$figdir"
-echo "fig contract: the twelve figure files match artifacts/"
+echo "fig contract: the $nfig figure files match artifacts/"
 
 # Bench verdict (docs/PERF.md): the judging step of scripts/bench.sh on
 # synthetic saved results, so it needs no second build. The 'slow' set moves

@@ -13,6 +13,10 @@ MultiGpuSimulator::MultiGpuSimulator(SimConfig cfg, MultiGpuConfig mg)
     : cfg_(std::move(cfg)), mg_(mg) {
   cfg_.validate();
   if (mg_.num_gpus == 0) throw std::invalid_argument("MultiGpuSimulator: num_gpus == 0");
+  if (mg_.peer.enabled && mg_.num_gpus > PeerDirectory::kMaxGpus) {
+    throw std::invalid_argument("MultiGpuSimulator: the peer directory tracks at most " +
+                                std::to_string(PeerDirectory::kMaxGpus) + " GPUs");
+  }
 }
 
 MultiGpuResult MultiGpuSimulator::run(Workload& workload) {

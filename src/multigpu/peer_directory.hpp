@@ -27,6 +27,9 @@ struct PeerFabricConfig {
 
 class PeerDirectory {
  public:
+  /// GPUs a holder mask can name; `gpu` must be below this.
+  static constexpr std::uint32_t kMaxGpus = 8;
+
   PeerDirectory(std::uint64_t total_blocks, const PeerFabricConfig& cfg,
                 double core_clock_ghz)
       : holders_(total_blocks, 0),
@@ -57,7 +60,7 @@ class PeerDirectory {
   [[nodiscard]] const BandwidthRegulator& fabric() const noexcept { return fabric_; }
 
  private:
-  std::vector<std::uint8_t> holders_;  ///< bitmask of holding GPUs (<= 8)
+  std::vector<std::uint8_t> holders_;  ///< bitmask of holding GPUs (< kMaxGpus)
   PeerFabricConfig cfg_;
   BandwidthRegulator fabric_;
 };

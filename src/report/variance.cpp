@@ -23,19 +23,4 @@ SampleStats summarize_samples(const std::vector<double>& samples) {
   return s;
 }
 
-std::vector<double> kernel_cycles_across_seeds(const std::string& workload,
-                                               const SimConfig& cfg, double oversub,
-                                               WorkloadParams params,
-                                               std::size_t num_seeds) {
-  std::vector<double> out;
-  out.reserve(num_seeds);
-  const std::uint64_t base_seed = params.seed;
-  for (std::size_t i = 0; i < num_seeds; ++i) {
-    params.seed = base_seed + i;
-    const RunResult r = run_workload(workload, cfg, oversub, params);
-    out.push_back(static_cast<double>(r.stats.kernel_cycles));
-  }
-  return out;
-}
-
 }  // namespace uvmsim

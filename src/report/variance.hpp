@@ -1,14 +1,11 @@
 // Multi-seed statistics: irregular workloads are input-dependent (random
 // graphs, random tables), so any reported factor should come with its
-// spread. Runs the same configuration across N workload seeds and reports
-// mean / stddev / min / max of the kernel time and of any derived ratio.
+// spread. Summarizes a sample (say, one ratio over N workload seeds) as
+// mean / stddev / min / max.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
-
-#include "core/simulator.hpp"
 
 namespace uvmsim {
 
@@ -24,13 +21,5 @@ struct SampleStats {
 
 /// Summary statistics over a sample (empty input -> zeros).
 [[nodiscard]] SampleStats summarize_samples(const std::vector<double>& samples);
-
-/// Run `workload` under `cfg` at `oversub` for `num_seeds` different
-/// workload seeds (params.seed + i); returns the per-seed kernel cycles.
-[[nodiscard]] std::vector<double> kernel_cycles_across_seeds(const std::string& workload,
-                                                             const SimConfig& cfg,
-                                                             double oversub,
-                                                             WorkloadParams params,
-                                                             std::size_t num_seeds);
 
 }  // namespace uvmsim

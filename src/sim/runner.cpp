@@ -53,9 +53,6 @@ BatchResult run_batch(const std::vector<RunRequest>& requests, const BatchOption
       const RunOptions run_opts =
           opts.make_options ? opts.make_options(requests[i], i) : RunOptions{};
       entry.result = run_request(requests[i], run_opts);
-      entry.peak_footprint_bytes = entry.result.footprint_bytes;
-      entry.audit_passes = entry.result.stats.audit_passes;
-      entry.audit_violations = entry.result.stats.audit_violations;
     } catch (const std::exception& e) {
       entry.error = e.what();
       if (entry.error.empty()) entry.error = "unknown error";
@@ -81,9 +78,6 @@ BatchResult run_batch(const std::vector<RunRequest>& requests, const BatchOption
   batch.wall_ms = elapsed_ms(batch_start);
   for (const BatchEntry& entry : batch.entries) {
     if (!entry.ok()) ++batch.failed;
-    batch.peak_footprint_bytes = std::max(batch.peak_footprint_bytes,
-                                          entry.peak_footprint_bytes);
-    batch.audit_violations += entry.audit_violations;
   }
   return batch;
 }

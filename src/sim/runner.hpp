@@ -12,7 +12,7 @@
 // completion order.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -39,7 +39,7 @@ struct RunRequest {
 };
 
 /// The single request-based entry point every harness funnels through.
-/// run_workload() and bench::run() are thin wrappers over this.
+/// run_workload() is a thin wrapper over this.
 [[nodiscard]] RunResult run_request(const RunRequest& request, const RunOptions& opts = {});
 
 /// Outcome of one request inside a batch. A throwing run does not abort the
@@ -50,9 +50,6 @@ struct BatchEntry {
   RunResult result;          ///< valid only when ok()
   std::string error;         ///< empty on success, exception text on failure
   double wall_ms = 0.0;      ///< host wall-clock time of this run
-  std::uint64_t peak_footprint_bytes = 0;  ///< managed footprint of the run
-  std::uint64_t audit_passes = 0;          ///< invariant-audit passes (audit mode)
-  std::uint64_t audit_violations = 0;      ///< invariant violations observed
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
@@ -62,8 +59,6 @@ struct BatchResult {
   double wall_ms = 0.0;             ///< whole-batch wall-clock time
   unsigned jobs = 1;                ///< worker threads actually used
   std::size_t failed = 0;           ///< entries with !ok()
-  std::uint64_t peak_footprint_bytes = 0;  ///< max over entries
-  std::uint64_t audit_violations = 0;      ///< sum over entries (audit mode)
 
   [[nodiscard]] bool all_ok() const noexcept { return failed == 0; }
 };

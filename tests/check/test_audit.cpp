@@ -247,9 +247,8 @@ TEST(AuditEndToEnd, BatchSurfacesAuditTelemetry) {
   opts.jobs = 1;
   const BatchResult batch = run_batch({req}, opts);
   ASSERT_TRUE(batch.all_ok());
-  EXPECT_GE(batch.entries[0].audit_passes, 1u);
-  EXPECT_EQ(batch.entries[0].audit_violations, 0u);
-  EXPECT_EQ(batch.audit_violations, 0u);
+  EXPECT_GE(batch.entries[0].result.stats.audit_passes, 1u);
+  EXPECT_EQ(batch.entries[0].result.stats.audit_violations, 0u);
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 namespace uvmsim {
 namespace {
 
+// Plain bytes, no pointer and no padding: gtest lists each combo with a dump
+// of its raw bytes, and the heap address inside a std::string made that
+// listing (and so the CTest test names) change from one build to the next.
 struct Combo {
-  std::string workload;
+  char workload[38];
   PolicyKind policy;
   EvictionKind eviction;
   double oversub;
@@ -16,7 +19,7 @@ struct Combo {
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   const Combo& c = info.param;
-  std::string s = c.workload + "_";
+  std::string s = std::string(c.workload) + "_";
   switch (c.policy) {
     case PolicyKind::kFirstTouch: s += "baseline"; break;
     case PolicyKind::kStaticAlways: s += "always"; break;
@@ -81,8 +84,12 @@ TEST_P(EndToEnd, RunsAndStatsAreConsistent) {
 std::vector<Combo> all_combos() {
   std::vector<Combo> v;
   for (const auto& w : workload_names()) {
-    v.push_back({w, PolicyKind::kFirstTouch, EvictionKind::kLru, 1.25});
-    v.push_back({w, PolicyKind::kAdaptive, EvictionKind::kLfu, 1.25});
+    Combo c{{}, PolicyKind::kFirstTouch, EvictionKind::kLru, 1.25};
+    w.copy(c.workload, sizeof c.workload - 1);
+    v.push_back(c);
+    c.policy = PolicyKind::kAdaptive;
+    c.eviction = EvictionKind::kLfu;
+    v.push_back(c);
   }
   // A few representative extras to cover the remaining policies/modes.
   v.push_back({"bfs", PolicyKind::kStaticAlways, EvictionKind::kLfu, 1.25});

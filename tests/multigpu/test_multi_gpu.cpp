@@ -147,6 +147,14 @@ TEST(MultiGpu, DeterministicAcrossRuns) {
 TEST(MultiGpu, ZeroGpusRejected) {
   EXPECT_THROW(MultiGpuSimulator(small_cfg(), MultiGpuConfig{0, true}),
                std::invalid_argument);
+  // The peer directory's holder mask names at most eight GPUs.
+  MultiGpuConfig mg{PeerDirectory::kMaxGpus, true};
+  mg.peer.enabled = true;
+  EXPECT_NO_THROW(MultiGpuSimulator(small_cfg(), mg));
+  mg.num_gpus = PeerDirectory::kMaxGpus + 1;
+  EXPECT_THROW(MultiGpuSimulator(small_cfg(), mg), std::invalid_argument);
+  mg.peer.enabled = false;
+  EXPECT_NO_THROW(MultiGpuSimulator(small_cfg(), mg));
 }
 
 }  // namespace
